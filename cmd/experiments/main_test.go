@@ -145,8 +145,8 @@ func TestSeedsAliasUsesRunner(t *testing.T) {
 }
 
 func TestWorkersAndEpochModeFlagsPreserveArtifacts(t *testing.T) {
-	// -workers and -fixed-epochs change execution strategy only: the city
-	// spec's artifact must be byte-identical (canonicalized) across both.
+	// -workers changes execution strategy only: the city spec's artifact
+	// must be byte-identical (canonicalized) across worker counts.
 	if testing.Short() {
 		t.Skip("scenario runs are slow")
 	}
@@ -173,9 +173,9 @@ func TestWorkersAndEpochModeFlagsPreserveArtifacts(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	ref := artifact(filepath.Join(dir, "adaptive.json"), "-workers", "2")
-	fixed := artifact(filepath.Join(dir, "fixed.json"), "-workers", "3", "-fixed-epochs")
-	if !bytes.Equal(ref, fixed) {
-		t.Fatalf("artifacts diverge across -workers/-fixed-epochs:\n%s\nvs\n%s", ref, fixed)
+	ref := artifact(filepath.Join(dir, "w2.json"), "-workers", "2")
+	got := artifact(filepath.Join(dir, "w3.json"), "-workers", "3")
+	if !bytes.Equal(ref, got) {
+		t.Fatalf("artifacts diverge across -workers:\n%s\nvs\n%s", ref, got)
 	}
 }

@@ -59,13 +59,6 @@ var DefaultCityShards = 8
 // count for runner specs (whose replicas already run concurrently).
 var DefaultCityWorkers = 0
 
-// DefaultCityFixedEpochs, when true, runs the city shard group in the
-// classic fixed-width epoch mode instead of adaptive epochs
-// (`experiments -fixed-epochs`). The simulation results are byte-identical
-// either way — the mode exists as the measurement baseline for barrier
-// statistics.
-var DefaultCityFixedEpochs = false
-
 // cityWorkers resolves the worker count for a sharded city run — the one
 // defaulting path shared by applyDefaults and CitySpec. An explicit request
 // wins, then the process-wide default (the -workers flag), then fallback;
@@ -152,9 +145,6 @@ func (p *CityParams) applyDefaults() {
 		p.Shards = DefaultCityShards
 	}
 	p.Workers = cityWorkers(p.Workers, p.Shards, runtime.GOMAXPROCS(0))
-	if DefaultCityFixedEpochs {
-		p.FixedEpochs = true
-	}
 	if p.Scheme == 0 {
 		p.Scheme = core.SchemeEnhanced
 	}
@@ -906,7 +896,3 @@ func SetDefaultCityWorkers(n int) {
 		DefaultCityWorkers = n
 	}
 }
-
-// SetDefaultCityFixedEpochs selects the fixed-width epoch baseline (the
-// experiments command's -fixed-epochs flag).
-func SetDefaultCityFixedEpochs(on bool) { DefaultCityFixedEpochs = on }

@@ -8,10 +8,10 @@ import (
 )
 
 // TestSchedulerGoldenDeterminism is the golden determinism guard: a full
-// figure scenario must render byte-identical output under the heap and
-// calendar schedulers, under engine reuse (Reset between runs), and under
-// the process-default engine. Any divergence means a scheduler broke the
-// (at, seq) total-order contract or recycling leaked state.
+// figure scenario must render byte-identical output on a fresh engine, on
+// a reused engine (Reset between runs, the runner-pool scratch path), and
+// on the scenario's own default engine. Any divergence means recycling
+// leaked state across runs.
 func TestSchedulerGoldenDeterminism(t *testing.T) {
 	render := func(engine *sim.Engine) string {
 		return RunDelayTrace(DelayTraceParams{
@@ -19,28 +19,20 @@ func TestSchedulerGoldenDeterminism(t *testing.T) {
 			ARLinkDelay: 2 * sim.Millisecond, Engine: engine,
 		}).Render()
 	}
-	heap := sim.NewEngineKind(sim.SchedulerHeap)
-	cal := sim.NewCalendarEngine()
+	engine := sim.NewEngine()
 
-	want := render(heap)
-	if got := render(cal); got != want {
-		t.Fatalf("calendar scheduler diverged from heap:\n--- heap ---\n%s\n--- calendar ---\n%s", want, got)
+	want := render(engine)
+	if got := render(engine); got != want {
+		t.Fatalf("reused engine diverged after Reset:\n--- fresh ---\n%s\n--- reused ---\n%s", want, got)
 	}
 	if got := render(nil); got != want {
-		t.Fatalf("default engine diverged from explicit heap engine:\n%s", got)
-	}
-	// Reused engines (the runner-pool scratch path) must replay identically.
-	if got := render(heap); got != want {
-		t.Fatal("reused heap engine diverged after Reset")
-	}
-	if got := render(cal); got != want {
-		t.Fatal("reused calendar engine diverged after Reset")
+		t.Fatalf("default engine diverged from explicit engine:\n%s", got)
 	}
 
 	// The SafetyNet data path (anchor bicast fan-out, NAR hold window,
 	// selective drain) runs through the same engines: its renders — drop
 	// trace with the overhead footer, and delay trace — must be equally
-	// scheduler- and reuse-independent.
+	// reuse-independent.
 	renderSfn := func(engine *sim.Engine) string {
 		drop := RunDropTrace(DropTraceParams{
 			Scheme: core.SchemeSafetyNet, PoolSize: 40, Handoffs: 4, Engine: engine,
@@ -50,17 +42,12 @@ func TestSchedulerGoldenDeterminism(t *testing.T) {
 		}).Render()
 		return drop + "\n" + delay
 	}
-	wantSfn := renderSfn(heap)
-	if got := renderSfn(cal); got != wantSfn {
-		t.Fatalf("safetynet: calendar scheduler diverged from heap:\n--- heap ---\n%s\n--- calendar ---\n%s", wantSfn, got)
+	fresh := sim.NewEngine()
+	wantSfn := renderSfn(fresh)
+	if got := renderSfn(engine); got != wantSfn {
+		t.Fatalf("safetynet: reused engine diverged after Reset:\n--- fresh ---\n%s\n--- reused ---\n%s", wantSfn, got)
 	}
 	if got := renderSfn(nil); got != wantSfn {
-		t.Fatal("safetynet: default engine diverged from explicit heap engine")
-	}
-	if got := renderSfn(heap); got != wantSfn {
-		t.Fatal("safetynet: reused heap engine diverged after Reset")
-	}
-	if got := renderSfn(cal); got != wantSfn {
-		t.Fatal("safetynet: reused calendar engine diverged after Reset")
+		t.Fatal("safetynet: default engine diverged from explicit engine")
 	}
 }

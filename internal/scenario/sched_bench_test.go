@@ -7,19 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkDelayTraceBySched compares the two event schedulers on a full
-// figure workload (reused engine, so allocation warm-up is excluded).
-func BenchmarkDelayTraceBySched(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			engine := sim.NewEngineKind(kind)
-			for i := 0; i < b.N; i++ {
-				RunDelayTrace(DelayTraceParams{
-					Scheme: core.SchemeEnhanced, PoolSize: 60, Alpha: 2,
-					ARLinkDelay: 2 * sim.Millisecond, Engine: engine,
-				})
-			}
+// BenchmarkDelayTrace runs a full figure workload on a reused engine, so
+// allocation warm-up is excluded.
+func BenchmarkDelayTrace(b *testing.B) {
+	b.ReportAllocs()
+	engine := sim.NewEngine()
+	for i := 0; i < b.N; i++ {
+		RunDelayTrace(DelayTraceParams{
+			Scheme: core.SchemeEnhanced, PoolSize: 60, Alpha: 2,
+			ARLinkDelay: 2 * sim.Millisecond, Engine: engine,
 		})
 	}
 }

@@ -20,12 +20,11 @@ import (
 var classSuffix = [3]string{"rt", "hp", "be"}
 
 // scratchSpec adapts an engine-parameterized scenario function into a
-// runner.ScratchSpec: the worker pool hands each worker a private
-// calendar-queue engine (reset between replicas, keeping its warmed-up
-// event free list and queue capacity), making the calendar scheduler the
-// runner-pool default. Plain Run — used outside the pool — passes a nil
-// engine, so the scenario builds a fresh one per replica; both paths
-// produce bit-for-bit identical metrics (see Engine.Reset).
+// runner.ScratchSpec: the worker pool hands each worker a private engine
+// (reset between replicas, keeping its warmed-up event free list and queue
+// capacity). Plain Run — used outside the pool — passes a nil engine, so
+// the scenario builds a fresh one per replica; both paths produce
+// bit-for-bit identical metrics (see Engine.Reset).
 type scratchSpec struct {
 	name string
 	// desc is a one-line human summary of the scenario and its parameters
@@ -41,7 +40,7 @@ func (s scratchSpec) Describe() string { return s.desc }
 
 func (s scratchSpec) Run(seed int64) (runner.Metrics, error) { return s.run(nil, seed), nil }
 
-func (s scratchSpec) NewScratch() any { return sim.NewCalendarEngine() }
+func (s scratchSpec) NewScratch() any { return sim.NewEngine() }
 
 func (s scratchSpec) RunScratch(scratch any, seed int64) (runner.Metrics, error) {
 	return s.run(scratch.(*sim.Engine), seed), nil

@@ -96,7 +96,7 @@ func TestBaselineSpecUnderPool(t *testing.T) {
 }
 
 // TestScratchSpecMatchesPlainRun pins the ScratchSpec contract: a
-// worker's reused calendar engine must reproduce bit-for-bit the metrics
+// worker's reused engine must reproduce bit-for-bit the metrics
 // of a fresh per-replica engine, including when a seed repeats (which
 // would expose state leaking through the scratch).
 func TestScratchSpecMatchesPlainRun(t *testing.T) {

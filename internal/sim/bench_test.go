@@ -33,30 +33,25 @@ func BenchmarkTimerReset(b *testing.B) {
 }
 
 // BenchmarkSchedulerChurn holds a steady window of pending events and
-// replaces one per operation — the hold-pattern churn both schedulers see
-// in a running simulation — so the heap and calendar implementations can
-// be compared head to head.
+// replaces one per operation: the hold-pattern churn the queue sees in a
+// running simulation.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngineKind(kind)
-			rng := NewRNG(1)
-			fn := func() {}
-			const window = 4096
-			for i := 0; i < window; i++ {
-				e.Schedule(Time(rng.Intn(1000))*Microsecond, fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Schedule(Time(1+rng.Intn(1000))*Microsecond, fn)
-				e.Step()
-			}
-			b.StopTimer()
-			if err := e.RunAll(); err != nil {
-				b.Fatal(err)
-			}
-		})
+	e := NewEngine()
+	rng := NewRNG(1)
+	fn := func() {}
+	const window = 4096
+	for i := 0; i < window; i++ {
+		e.Schedule(Time(rng.Intn(1000))*Microsecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(Time(1+rng.Intn(1000))*Microsecond, fn)
+		e.Step()
+	}
+	b.StopTimer()
+	if err := e.RunAll(); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -65,26 +60,22 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 // before firing (the exchange succeeded), exercising the lazy-delete
 // Cancel and the compaction sweep.
 func BenchmarkRetransmissionCancel(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngineKind(kind)
-			fn := func() {}
-			refs := make([]EventRef, 0, 128)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				refs = refs[:0]
-				for j := 0; j < 100; j++ {
-					refs = append(refs, e.Schedule(100*Millisecond, fn))
-				}
-				for j, ref := range refs {
-					if j%10 != 0 { // 90% cancelled before their deadline
-						e.Cancel(ref)
-					}
-				}
-				if err := e.RunAll(); err != nil {
-					b.Fatal(err)
-				}
+	e := NewEngine()
+	fn := func() {}
+	refs := make([]EventRef, 0, 128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		refs = refs[:0]
+		for j := 0; j < 100; j++ {
+			refs = append(refs, e.Schedule(100*Millisecond, fn))
+		}
+		for j, ref := range refs {
+			if j%10 != 0 { // 90% cancelled before their deadline
+				e.Cancel(ref)
 			}
-		})
+		}
+		if err := e.RunAll(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

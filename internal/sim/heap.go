@@ -1,10 +1,12 @@
 package sim
 
-// heapQueue is a 4-ary min-heap specialized to *event. Compared to
-// container/heap it avoids the `any` boxing on every push/pop and the
-// interface-dispatched Less/Swap calls; the 4-ary layout halves the tree
-// depth, trading slightly more comparisons per level for far fewer cache
-// misses on the sift path. Ordering follows eventLess.
+// heapQueue is the engine's event queue: a 4-ary min-heap specialized to
+// *event, ordered by eventLess. It tolerates lazily-cancelled entries,
+// which the engine skips and recycles on pop, or collects in bulk via
+// sweep. Compared to container/heap it avoids the `any` boxing on every
+// push/pop and the interface-dispatched Less/Swap calls; the 4-ary layout
+// halves the tree depth, trading slightly more comparisons per level for
+// far fewer cache misses on the sift path.
 type heapQueue struct {
 	ev []*event
 }
@@ -97,7 +99,9 @@ func (h *heapQueue) sweep(recycle func(*event)) {
 		h.ev[i] = nil
 	}
 	h.ev = live
-	for i := len(h.ev)/4 - 1; i >= 0; i-- {
+	// Sift down every internal node; the last one is the parent of the
+	// last element.
+	for i := (len(h.ev) - 2) / 4; len(h.ev) > 1 && i >= 0; i-- {
 		h.down(i)
 	}
 }

@@ -21,8 +21,8 @@ func TestNextAtSkipsCancelledHeads(t *testing.T) {
 		t.Fatalf("NextAt after cancel = %v/%t, want 9/true", at, ok)
 	}
 	// The cancelled head was collected, not merely skipped.
-	if e.sched.size() != 1 {
-		t.Fatalf("queue size = %d, want 1 (cancelled head recycled)", e.sched.size())
+	if e.queue.size() != 1 {
+		t.Fatalf("queue size = %d, want 1 (cancelled head recycled)", e.queue.size())
 	}
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -47,7 +47,7 @@ func tickTrace(e *Engine, name string, period, stop Time, out *[]string) {
 
 func shardedTickTrace(t *testing.T, workers int) [][]string {
 	t.Helper()
-	engines := []*Engine{NewEngine(), NewEngine(), NewCalendarEngine()}
+	engines := []*Engine{NewEngine(), NewEngine(), NewEngine()}
 	traces := make([][]string, len(engines))
 	periods := []Time{7, 11, 13}
 	for i, e := range engines {

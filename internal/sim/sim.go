@@ -5,17 +5,12 @@
 // scheduled (stable FIFO tie-break), which makes every simulation in this
 // repository reproducible bit-for-bit.
 //
-// Two queue implementations are available behind the same Engine API: an
-// inlined 4-ary min-heap (the default) and an ns-2-style calendar queue
-// (NewCalendarEngine) whose enqueue/dequeue cost stays O(1) when the event
-// population is well spread. Both honor the identical total order
-// (see eventLess), so a simulation produces byte-identical results under
-// either. For events scheduled through Schedule/At that order is exactly
-// the historical (at, seq) FIFO rule; AtPinned additionally lets a caller
-// place an event at an explicit position inside an instant, so an
-// analytically computed event can land precisely where a classic
-// event-driven chain would have inserted it (see internal/netsim's fused
-// links).
+// The queue is an inlined 4-ary min-heap ordered by eventLess. For events
+// scheduled through Schedule/At that order is exactly the historical
+// (at, seq) FIFO rule; AtPinned additionally lets a caller place an event
+// at an explicit position inside an instant, so an analytically computed
+// event can land precisely where a classic event-driven chain would have
+// inserted it (see internal/netsim's fused links).
 //
 // The hot path is allocation-free in steady state: fired and cancelled
 // events are recycled through a free list, and EventRefs carry a
@@ -27,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -87,15 +81,10 @@ type event struct {
 	fate   uint64
 	fired  bool
 	cancel bool
-	// next chains events inside a calendar-queue bucket (intrusive list,
-	// nil outside the calendar). Unused by the heap scheduler.
-	next *event
 }
 
 // eventLess is the engine's total event order: earlier instant first, then
-// insertion instant, then inserting context, then scheduling order. Both
-// queue implementations use exactly this predicate, which is what makes
-// them interchangeable bit-for-bit.
+// insertion instant, then inserting context, then scheduling order.
 //
 // For events scheduled only through Schedule/At the extended key is a pure
 // refinement of the historical (at, seq) rule — it never reorders them.
@@ -177,75 +166,6 @@ func (r EventRef) Fired() bool {
 	return true
 }
 
-// scheduler is the queue strategy behind an Engine. Both implementations
-// order events by eventLess and tolerate lazily-cancelled entries (the
-// engine skips and recycles them on pop, or in bulk via sweep).
-type scheduler interface {
-	// push enqueues an event.
-	push(ev *event)
-	// peek returns the earliest queued event without removing it, or nil.
-	peek() *event
-	// pop removes and returns the earliest queued event, or nil.
-	pop() *event
-	// size returns the number of queued events, including
-	// lazily-cancelled ones awaiting collection.
-	size() int
-	// sweep removes every cancelled event, handing each to recycle.
-	sweep(recycle func(*event))
-	// reset empties the queue (recycling every entry) but keeps the
-	// allocated capacity for reuse.
-	reset(recycle func(*event))
-}
-
-// SchedulerKind selects an Engine's queue implementation.
-type SchedulerKind int32
-
-const (
-	// SchedulerHeap is the inlined 4-ary min-heap (the default).
-	SchedulerHeap SchedulerKind = iota
-	// SchedulerCalendar is the ns-2-style calendar queue.
-	SchedulerCalendar
-)
-
-// String implements fmt.Stringer.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerHeap:
-		return "heap"
-	case SchedulerCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int32(k))
-	}
-}
-
-// ParseSchedulerKind maps a flag value ("heap", "calendar") to a kind.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "heap", "binary-heap", "4ary":
-		return SchedulerHeap, nil
-	case "calendar", "calendar-queue", "cq":
-		return SchedulerCalendar, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler %q (have: heap, calendar)", s)
-	}
-}
-
-// defaultKind is the process-wide scheduler used by NewEngine, read and
-// written atomically so worker pools can select it per run.
-var defaultKind atomic.Int32
-
-// SetDefaultScheduler selects the queue implementation NewEngine uses from
-// now on and returns the previous choice. Engines already built keep their
-// scheduler; because both kinds honor the same total event order,
-// switching never changes simulation results.
-func SetDefaultScheduler(k SchedulerKind) SchedulerKind {
-	return SchedulerKind(defaultKind.Swap(int32(k)))
-}
-
-// DefaultScheduler returns the kind NewEngine currently uses.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultKind.Load()) }
-
 // ErrStopped is returned by Run when Stop was called before the horizon.
 var ErrStopped = errors.New("sim: engine stopped")
 
@@ -258,12 +178,10 @@ const eventBlock = 128
 // at least this many cancelled events are queued.
 const compactMin = 64
 
-// Engine is the discrete-event scheduler. The zero value is not usable; call
-// NewEngine (or NewCalendarEngine).
+// Engine is the discrete-event scheduler. Create one with NewEngine.
 type Engine struct {
 	now     Time
-	sched   scheduler
-	kind    SchedulerKind
+	queue   heapQueue
 	seq     uint64
 	stopped bool
 	// processed counts events that have fired, for diagnostics.
@@ -274,9 +192,6 @@ type Engine struct {
 	lazy int
 	// free is the recycled-event stack feeding At.
 	free []*event
-	// recycleFn is the pre-bound recycle method value handed to the
-	// scheduler's sweep/reset, so compaction never allocates a closure.
-	recycleFn func(*event)
 	// Firing context: the full ordering key of the event whose handler is
 	// currently running inside Step. At stamps inserted events with it,
 	// and FiringKey exposes it so analytic fast paths (netsim's fused
@@ -289,30 +204,8 @@ type Engine struct {
 	curSeq   uint64
 }
 
-// NewEngine returns an engine with its clock at zero, using the
-// process-default scheduler (see SetDefaultScheduler; initially the 4-ary
-// heap).
-func NewEngine() *Engine { return NewEngineKind(DefaultScheduler()) }
-
-// NewCalendarEngine returns an engine backed by the calendar queue.
-func NewCalendarEngine() *Engine { return NewEngineKind(SchedulerCalendar) }
-
-// NewEngineKind returns an engine backed by the given queue implementation.
-func NewEngineKind(k SchedulerKind) *Engine {
-	e := &Engine{kind: k}
-	switch k {
-	case SchedulerCalendar:
-		e.sched = newCalendarQueue()
-	default:
-		e.kind = SchedulerHeap
-		e.sched = new(heapQueue)
-	}
-	e.recycleFn = e.recycle
-	return e
-}
-
-// Scheduler returns the engine's queue implementation kind.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
+// NewEngine returns an engine with its clock at zero.
+func NewEngine() *Engine { return new(Engine) }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -367,30 +260,14 @@ func (e *Engine) Schedule(delay Time, fn Handler) EventRef {
 }
 
 // At runs fn at the given absolute instant. Instants in the past are clamped
-// to the current time.
+// to the current time. It is AtPinned at the position an insertion made now
+// gets: the running handler's context, or outside any handler a context of
+// its own (see eventLess).
 func (e *Engine) At(at Time, fn Handler) EventRef {
-	if fn == nil {
-		panic("sim: At called with nil handler")
-	}
-	if at < e.now {
-		at = e.now
-	}
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.seq
-	ev.vins = e.now
 	if e.firing {
-		ev.vins2 = e.curVins
-		ev.vseq2 = e.curSeq
-	} else {
-		ev.vins2 = e.now
-		ev.vseq2 = ev.seq
+		return e.AtPinned(at, e.now, e.curVins, e.curSeq, fn)
 	}
-	ev.fn = fn
-	e.seq++
-	e.sched.push(ev)
-	e.live++
-	return EventRef{ev: ev, gen: ev.gen}
+	return e.AtPinned(at, e.now, e.now, e.seq, fn)
 }
 
 // AtPinned runs fn at the given absolute instant with an explicitly pinned
@@ -398,12 +275,13 @@ func (e *Engine) At(at Time, fn Handler) EventRef {
 // insertion would have happened at, and (vins2, vseq2) that insertion's
 // context (see eventLess). netsim's fused links and wireless's fused air
 // transmit use it to schedule a delivery at Send time that sorts exactly
-// where the classic txDone-then-deliver chain would have placed it. Instants in the past are
-// clamped to the current time, and the pin components are clamped to stay
-// internally consistent (vins <= at, vins2 <= vins).
+// where the classic txDone-then-deliver chain would have placed it.
+// Instants in the past are clamped to the current time, and the pin
+// components are clamped to stay internally consistent (vins <= at,
+// vins2 <= vins).
 func (e *Engine) AtPinned(at, vins, vins2 Time, vseq2 uint64, fn Handler) EventRef {
 	if fn == nil {
-		panic("sim: AtPinned called with nil handler")
+		panic("sim: event scheduled with nil handler")
 	}
 	if at < e.now {
 		at = e.now
@@ -422,7 +300,7 @@ func (e *Engine) AtPinned(at, vins, vins2 Time, vseq2 uint64, fn Handler) EventR
 	ev.vseq2 = vseq2
 	ev.fn = fn
 	e.seq++
-	e.sched.push(ev)
+	e.queue.push(ev)
 	e.live++
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -454,9 +332,9 @@ func (e *Engine) Cancel(ref EventRef) {
 	ev.cancel = true
 	e.live--
 	e.lazy++
-	if e.lazy >= compactMin && e.lazy*2 > e.sched.size() {
+	if e.lazy >= compactMin && e.lazy*2 > e.queue.size() {
 		e.lazy = 0
-		e.sched.sweep(e.recycleFn)
+		e.queue.sweep(e.recycle)
 	}
 }
 
@@ -466,33 +344,40 @@ func (e *Engine) Cancel(ref EventRef) {
 // returns ErrStopped without processing any events.
 func (e *Engine) Stop() { e.stopped = true }
 
+// head returns the earliest live queued event without removing it, or nil
+// when none is queued. Cancelled events at the front are collected on the
+// way.
+func (e *Engine) head() *event {
+	for {
+		ev := e.queue.peek()
+		if ev == nil || !ev.cancel {
+			return ev
+		}
+		e.queue.pop()
+		e.lazy--
+		e.recycle(ev)
+	}
+}
+
 // Step fires the single earliest pending event and advances the clock to its
 // instant. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for {
-		ev := e.sched.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.cancel {
-			if e.lazy > 0 {
-				e.lazy--
-			}
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.processed++
-		e.live--
-		ev.fired = true
-		fn := ev.fn
-		e.firing = true
-		e.curVins, e.curVins2, e.curVseq2, e.curSeq = ev.vins, ev.vins2, ev.vseq2, ev.seq
-		fn()
-		e.firing = false
-		e.recycle(ev)
-		return true
+	ev := e.head()
+	if ev == nil {
+		return false
 	}
+	e.queue.pop()
+	e.now = ev.at
+	e.processed++
+	e.live--
+	ev.fired = true
+	fn := ev.fn
+	e.firing = true
+	e.curVins, e.curVins2, e.curVseq2, e.curSeq = ev.vins, ev.vins2, ev.vseq2, ev.seq
+	fn()
+	e.firing = false
+	e.recycle(ev)
+	return true
 }
 
 // Run processes events until the queue is empty or the clock would pass the
@@ -507,22 +392,17 @@ func (e *Engine) Run(until Time) error {
 			e.stopped = false
 			return ErrStopped
 		}
-		next := e.sched.peek()
+		next := e.head()
 		if next == nil {
 			break
 		}
-		if next.cancel {
-			e.sched.pop()
-			if e.lazy > 0 {
-				e.lazy--
-			}
-			e.recycle(next)
-			continue
-		}
 		if next.at > until {
 			// Leave the event queued; advance the clock to the horizon so
-			// Now() reflects how far the simulation progressed.
-			e.now = until
+			// Now() reflects how far the simulation progressed. A horizon
+			// already behind the clock never rewinds it.
+			if until > e.now {
+				e.now = until
+			}
 			return nil
 		}
 		e.Step()
@@ -543,21 +423,10 @@ func (e *Engine) RunAll() error { return e.Run(MaxTime) }
 // false when no live event is queued. Conservative parallel runners use
 // this to compute the global epoch horizon.
 func (e *Engine) NextAt() (Time, bool) {
-	for {
-		next := e.sched.peek()
-		if next == nil {
-			return 0, false
-		}
-		if next.cancel {
-			e.sched.pop()
-			if e.lazy > 0 {
-				e.lazy--
-			}
-			e.recycle(next)
-			continue
-		}
+	if next := e.head(); next != nil {
 		return next.at, true
 	}
+	return 0, false
 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
@@ -569,7 +438,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // restarts at zero, a reset engine schedules events in exactly the order a
 // fresh engine would: replica results are identical either way.
 func (e *Engine) Reset() {
-	e.sched.reset(e.recycleFn)
+	e.queue.reset(e.recycle)
 	e.now = 0
 	e.seq = 0
 	e.processed = 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,6 +116,32 @@ func TestRunHorizonLeavesFutureEvents(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("event did not fire on second run")
+	}
+}
+
+// A horizon behind the clock must not rewind it: an event scheduled after
+// such a Run may not fire before instants already processed.
+func TestRunBehindClockKeepsClock(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	e.At(10, record)
+	e.At(20, record)
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("Now() = %dns after Run(10), Run(5); want 10ns", int64(e.Now()))
+	}
+	e.At(7, record) // in the past: clamped to 10
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{10, 10, 20}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
 	}
 }
 

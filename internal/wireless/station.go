@@ -156,7 +156,7 @@ func NewStation(name string, medium *Medium, motion Motion, cfg StationConfig) *
 		engine: medium.engine,
 		medium: medium,
 		motion: motion,
-		addrs: make(map[inet.Addr]bool),
+		addrs:  make(map[inet.Addr]bool),
 		// A zero-bandwidth radio serializes instantly, collapsing the whole
 		// classic txDone chain into one instant whose nested scheduling
 		// interleave the analytic path cannot reproduce; such radios always
