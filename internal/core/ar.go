@@ -57,6 +57,16 @@ type ARConfig struct {
 	// immediately instead of holding it. Zero selects
 	// DefaultBicastWindow. Ignored by the buffering schemes.
 	BicastWindow int
+	// Alloc supplies the tunnel wrappers the router puts around the
+	// packets it forwards to its peer (buffer drains, redirection and
+	// reverse tunnels), like mip.AgentConfig.Alloc. Nil selects heap
+	// allocation.
+	Alloc func() *inet.Packet
+	// Release, when set, receives every tunnel wrapper the router strips
+	// off a packet addressed to it; the wrapper is dead from then on.
+	// Paired with a pooled Alloc it makes the inter-router tunnel
+	// allocation-free. Nil leaves the wrappers to the garbage collector.
+	Release func(*inet.Packet)
 }
 
 // Validate reports configuration errors that would silently disable parts
@@ -288,6 +298,9 @@ func NewAccessRouter(engine *sim.Engine, router *netsim.Router, net inet.NetID,
 	if cfg.BicastWindow == 0 {
 		cfg.BicastWindow = DefaultBicastWindow
 	}
+	if cfg.Alloc == nil {
+		cfg.Alloc = func() *inet.Packet { return new(inet.Packet) }
+	}
 	ar := &AccessRouter{
 		engine:         engine,
 		router:         router,
@@ -414,7 +427,7 @@ func (ar *AccessRouter) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	// PCoA while attached at the NAR is tunnelled back to the PAR.
 	if s, ok := ar.sessions[pkt.Src]; ok && s.role == roleNAR && !s.peer.IsUnspecified() {
 		if _, fromAP := ar.apByIface[in]; fromAP {
-			ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), s.peer))
+			ar.router.Forward(pkt.EncapsulateInto(ar.cfg.Alloc(), ar.router.Addr(), s.peer))
 			return true
 		}
 	}
@@ -456,6 +469,9 @@ func (ar *AccessRouter) handleTunnel(pkt *inet.Packet) bool {
 	inner := pkt.Decapsulate()
 	if inner == nil {
 		return true
+	}
+	if ar.cfg.Release != nil {
+		ar.cfg.Release(pkt)
 	}
 	if s, ok := ar.sessions[inner.Dst]; ok && s.role == roleNAR {
 		ar.narData(s, inner)
@@ -1112,7 +1128,7 @@ func (ar *AccessRouter) drainSend(pkt *inet.Packet, peer inet.Addr) {
 		ar.router.Forward(pkt)
 		return
 	}
-	ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), peer))
+	ar.router.Forward(pkt.EncapsulateInto(ar.cfg.Alloc(), ar.router.Addr(), peer))
 }
 
 // drainJob is a paced buffer release in flight: a snapshot of the drained
@@ -1280,7 +1296,7 @@ func (ar *AccessRouter) tunnelToPeer(s *session, pkt *inet.Packet) {
 		ar.router.Forward(pkt)
 		return
 	}
-	ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), s.peer))
+	ar.router.Forward(pkt.EncapsulateInto(ar.cfg.Alloc(), ar.router.Addr(), s.peer))
 }
 
 // sendControl originates a control packet from this router.

@@ -143,6 +143,53 @@ func TestARConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDrainTunnelZeroAlloc pins the PAR→NAR drain tunnel: in steady state,
+// releasing one pooled buffered packet toward the peer router — pooled
+// tunnel wrapper from ARConfig.Alloc, the inter-router hop, decapsulation
+// at the NAR with the wrapper handed to ARConfig.Release, and the hop on
+// to the inner destination — allocates nothing.
+func TestDrainTunnelZeroAlloc(t *testing.T) {
+	var topo *netsim.Topology
+	h := newARHarness(t, ARConfig{
+		Scheme: SchemeEnhanced, PoolSize: 40, Alpha: 2,
+		Alloc:   func() *inet.Packet { return topo.AllocPacket() },
+		Release: func(pkt *inet.Packet) { topo.ReleasePacket(pkt) },
+	})
+	topo = h.topo
+	delivered := 0
+	h.narAP.Receive = func(pkt *inet.Packet) {
+		if pkt.Proto != inet.ProtoUDP {
+			t.Fatalf("NAR forwarded %v, want the decapsulated UDP packet", pkt)
+		}
+		delivered++
+		topo.ReleasePacket(pkt)
+	}
+	var seq uint32
+	send := func() {
+		seq++
+		pkt := topo.AllocPacket()
+		pkt.Src = inet.Addr{Net: 1, Host: 1}
+		pkt.Dst = h.narAP.Addr()
+		pkt.Proto = inet.ProtoUDP
+		pkt.Flow = 1
+		pkt.Seq = seq
+		pkt.Size = 160
+		h.par.drainSend(pkt, h.nar.Addr())
+		if err := h.engine.RunAll(); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("drain tunnel allocates %.2f times per packet; want 0", avg)
+	}
+	if st := topo.PoolStats(); delivered != 64+201 || st.Gets != st.Puts {
+		t.Fatalf("delivered %d packets, pool %+v; want 265 delivered and every packet recycled", delivered, st)
+	}
+}
+
 // BenchmarkARHandoffCycle measures one complete handoff (negotiation,
 // redirection with an 8-packet real-time burst, attach, release, grace
 // close) end to end. Session objects, buffers, and timers are recycled;

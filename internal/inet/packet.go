@@ -92,10 +92,19 @@ func (p *Packet) Clone() *Packet {
 	return &cp
 }
 
-// Encapsulate wraps p in a tunnel header from src to dst, preserving the
-// class field and creation time, and accounting the header overhead.
+// Encapsulate wraps p in a heap-allocated tunnel header from src to dst
+// (see EncapsulateInto).
 func (p *Packet) Encapsulate(src, dst Addr) *Packet {
-	return &Packet{
+	return p.EncapsulateInto(new(Packet), src, dst)
+}
+
+// EncapsulateInto turns w into a tunnel header from src to dst around p,
+// preserving the class field and creation time and accounting the header
+// overhead, and returns w. Every field of w is overwritten, so w may come
+// straight from a PacketPool: pooled wrappers make a tunnel hop
+// allocation-free.
+func (p *Packet) EncapsulateInto(w *Packet, src, dst Addr) *Packet {
+	*w = Packet{
 		ID:      p.ID,
 		Src:     src,
 		Dst:     dst,
@@ -107,6 +116,7 @@ func (p *Packet) Encapsulate(src, dst Addr) *Packet {
 		Created: p.Created,
 		Inner:   p,
 	}
+	return w
 }
 
 // Decapsulate strips one tunnel header and returns the inner packet. It

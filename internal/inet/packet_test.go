@@ -44,6 +44,38 @@ func TestEncapsulatePreservesMetadata(t *testing.T) {
 	}
 }
 
+// TestEncapsulateIntoOverwritesRecycledWrapper: a wrapper taken from a
+// pool may carry anything from its previous life; EncapsulateInto must
+// leave exactly what Encapsulate would have built.
+func TestEncapsulateIntoOverwritesRecycledWrapper(t *testing.T) {
+	p := samplePacket()
+	src, dst := Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2}
+	w := &Packet{ID: 99, Proto: ProtoControl, Payload: "stale", Inner: samplePacket(), Requeued: true}
+	if got := p.EncapsulateInto(w, src, dst); got != w {
+		t.Fatal("EncapsulateInto did not return the supplied wrapper")
+	}
+	if want := p.Encapsulate(src, dst); *w != *want {
+		t.Fatalf("EncapsulateInto = %+v, want %+v", *w, *want)
+	}
+}
+
+// TestPacketPoolStats checks the pool's traffic counters: a double
+// release is not a second Put, and Fresh counts only empty-pool Gets.
+func TestPacketPoolStats(t *testing.T) {
+	var pl PacketPool
+	a, b := pl.Get(), pl.Get()
+	pl.Put(a)
+	pl.Put(a)
+	if c := pl.Get(); c != a {
+		t.Fatal("Get did not reuse the released packet")
+	}
+	pl.Put(b)
+	want := PoolStats{Gets: 3, Fresh: 2, Puts: 2, Len: 1}
+	if got := pl.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
 func TestDecapsulate(t *testing.T) {
 	p := samplePacket()
 	tun := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})

@@ -16,10 +16,28 @@ package inet
 // chains held elsewhere are unaffected (the pool never follows pointers).
 type PacketPool struct {
 	free []*Packet
+	// Traffic counters: see PoolStats.
+	gets, fresh, puts uint64
+}
+
+// PoolStats is a snapshot of a PacketPool's traffic. Gets-Puts is the
+// number of pooled packets out in the simulation, and Fresh is the pool's
+// whole heap footprint: a pool whose Fresh tracks packets sent rather than
+// packets in flight is being fed from the heap somewhere. Puts never
+// exceeds Gets when every recycled packet was handed out by the pool.
+type PoolStats struct {
+	// Gets counts packets handed out; Fresh how many of them the pool had
+	// to allocate because its free list was empty.
+	Gets, Fresh uint64
+	// Puts counts packets recycled (double releases not included).
+	Puts uint64
+	// Len is the number of packets resting in the pool.
+	Len int
 }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pl *PacketPool) Get() *Packet {
+	pl.gets++
 	if n := len(pl.free); n > 0 {
 		pkt := pl.free[n-1]
 		pl.free[n-1] = nil
@@ -27,6 +45,7 @@ func (pl *PacketPool) Get() *Packet {
 		pkt.pooled = false
 		return pkt
 	}
+	pl.fresh++
 	return &Packet{}
 }
 
@@ -39,8 +58,14 @@ func (pl *PacketPool) Put(pkt *Packet) {
 		return
 	}
 	*pkt = Packet{pooled: true}
+	pl.puts++
 	pl.free = append(pl.free, pkt)
 }
 
 // Len returns the number of packets resting in the pool.
 func (pl *PacketPool) Len() int { return len(pl.free) }
+
+// Stats returns the pool's traffic counters.
+func (pl *PacketPool) Stats() PoolStats {
+	return PoolStats{Gets: pl.gets, Fresh: pl.fresh, Puts: pl.puts, Len: len(pl.free)}
+}

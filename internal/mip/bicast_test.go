@@ -224,6 +224,49 @@ func TestBicastForwardZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTunnelForwardZeroAlloc pins the anchor's primary tunnel: in steady
+// state, one pooled packet from the correspondent — MAP intercept, pooled
+// tunnel wrapper, wired hops to the care-of address, decapsulation and
+// release of both layers — allocates nothing.
+func TestTunnelForwardZeroAlloc(t *testing.T) {
+	w := newBicastTopology(t, true)
+	w.agent.Register(w.rcoa, w.mh.Addr(), 1<<62)
+	delivered := 0
+	w.mh.Receive = func(pkt *inet.Packet) {
+		inner := pkt.Decapsulate()
+		if inner == nil || inner.Proto != inet.ProtoUDP {
+			t.Fatalf("care-of address received %v, want a tunnelled UDP packet", pkt)
+		}
+		delivered++
+		w.topo.ReleasePacket(inner)
+		w.topo.ReleasePacket(pkt)
+	}
+	var seq uint32
+	send := func() {
+		seq++
+		pkt := w.topo.AllocPacket()
+		pkt.Src = w.cn.Addr()
+		pkt.Dst = w.rcoa
+		pkt.Proto = inet.ProtoUDP
+		pkt.Flow = 1
+		pkt.Seq = seq
+		pkt.Size = 160
+		w.cn.Send(pkt)
+		if err := w.engine.RunAll(); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("tunnel forward path allocates %.2f times per packet; want 0", avg)
+	}
+	if st := w.topo.PoolStats(); delivered != 64+201 || st.Gets != st.Puts {
+		t.Fatalf("delivered %d packets, pool %+v; want 265 delivered and every packet recycled", delivered, st)
+	}
+}
+
 // BenchmarkBicastForward measures the anchor's duplicate emission end to
 // end (pooled copy + wrapper, one wired hop, recycle). The CI gate pins
 // its allocs/op at zero.

@@ -14,9 +14,9 @@ type AgentConfig struct {
 	// MaxLifetime caps granted binding lifetimes. Zero means "grant the
 	// requested lifetime unchanged".
 	MaxLifetime sim.Time
-	// Alloc, when set, supplies pooled packets for the bicast duplicate
-	// path so SafetyNet fan-out stays allocation-free. Nil falls back to
-	// heap allocation.
+	// Alloc supplies the tunnel wrappers and the SafetyNet bicast copies;
+	// a packet pool keeps the anchor's data path allocation-free. Nil
+	// selects heap allocation.
 	Alloc func() *inet.Packet
 }
 
@@ -57,6 +57,9 @@ type Agent struct {
 // the topology) with mobility-agent behaviour. It installs Intercept and
 // LocalDeliver hooks on the router.
 func NewAgent(engine *sim.Engine, router *netsim.Router, cfg AgentConfig) *Agent {
+	if cfg.Alloc == nil {
+		cfg.Alloc = func() *inet.Packet { return new(inet.Packet) }
+	}
 	a := &Agent{
 		router: router,
 		engine: engine,
@@ -116,13 +119,13 @@ func (a *Agent) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	if len(a.bicast) > 0 {
 		a.maybeBicast(pkt, b.CoA)
 	}
-	a.router.Forward(pkt.Encapsulate(a.router.Addr(), b.CoA))
+	a.router.Forward(pkt.EncapsulateInto(a.cfg.Alloc(), a.router.Addr(), b.CoA))
 	return true
 }
 
 // maybeBicast emits the SafetyNet duplicate of pkt toward the registered
-// bicast target. The copy and its tunnel wrapper come from the packet
-// pool when configured, keeping the duplicate path allocation-free.
+// bicast target. The copy of a plain packet and the tunnel wrapper come
+// from Alloc, keeping the duplicate path allocation-free.
 func (a *Agent) maybeBicast(pkt *inet.Packet, primary inet.Addr) {
 	e, ok := a.bicast[pkt.Dst]
 	if !ok {
@@ -135,27 +138,14 @@ func (a *Agent) maybeBicast(pkt *inet.Packet, primary inet.Addr) {
 	if e.ncoa == primary {
 		return // binding already moved; a duplicate would be a self-copy
 	}
-	var dup, wrap *inet.Packet
-	if a.cfg.Alloc != nil && pkt.Inner == nil {
+	var dup *inet.Packet
+	if pkt.Inner == nil {
 		dup = a.cfg.Alloc()
 		*dup = *pkt
-		wrap = a.cfg.Alloc()
-		// Mirror Encapsulate field-for-field on the pooled wrapper.
-		*wrap = inet.Packet{
-			ID:      dup.ID,
-			Src:     a.router.Addr(),
-			Dst:     e.ncoa,
-			Proto:   inet.ProtoTunnel,
-			Class:   dup.Class,
-			Flow:    dup.Flow,
-			Seq:     dup.Seq,
-			Size:    dup.Size + inet.TunnelHeaderSize,
-			Created: dup.Created,
-			Inner:   dup,
-		}
 	} else {
-		wrap = pkt.Clone().Encapsulate(a.router.Addr(), e.ncoa)
+		dup = pkt.Clone()
 	}
+	wrap := dup.EncapsulateInto(a.cfg.Alloc(), a.router.Addr(), e.ncoa)
 	a.bicastPackets++
 	a.bicastBytes += uint64(wrap.Size)
 	if a.OnBicast != nil {

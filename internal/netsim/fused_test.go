@@ -156,7 +156,7 @@ func TestFusedHalvesWiredHopEvents(t *testing.T) {
 
 // benchWiredHop measures one pool-allocated UDP packet crossing a wired
 // hop end to end — send, serialization, propagation, delivery, release,
-// reap — on the selected transmit path. The CI gate pins both variants at
+// deferred reclaim — on the selected transmit path. The CI gate pins both variants at
 // 0 allocs/op exactly; their ns/op ratio is the fused path's per-hop win.
 func benchWiredHop(b *testing.B, fused bool) {
 	prev := SetFusedLinks(fused)

@@ -20,13 +20,13 @@ type Topology struct {
 	nextFlowID inet.FlowID
 
 	// Packet recycling: dead packets are parked in the graveyard and only
-	// returned to the pool by a reap event scheduled behind the current
-	// one, so observers chained later in the releasing event (tracing
-	// hooks, recorders) still read intact fields.
-	pool          inet.PacketPool
-	graveyard     []*inet.Packet
-	reapFn        sim.Handler
-	reapScheduled bool
+	// returned to the pool once the releasing handler has returned (an
+	// engine Defer), so observers chained later in the releasing event
+	// (tracing hooks, recorders) still read intact fields.
+	pool      inet.PacketPool
+	graveyard []*inet.Packet
+	reapFn    sim.Handler
+	reapArmed bool
 }
 
 // NewTopology creates an empty topology bound to an engine.
@@ -49,26 +49,30 @@ func (t *Topology) AllocPacket() *inet.Packet { return t.pool.Get() }
 
 // ReleasePacket recycles a dead packet into the topology's free list. Call
 // it only from a final sink (deliver or drop) that owns the packet
-// outright; the slot is actually reclaimed in a follow-up event, so hooks
-// running later in the same event still see the packet intact. Inner
-// packets are not released implicitly — release each layer of a chain
-// explicitly once it is dead. Releasing the same packet twice in one cycle
-// is a harmless no-op.
+// outright; the slot is actually reclaimed once the releasing handler
+// returns, so hooks running later in the same event still see the packet
+// intact. Inner packets are not released implicitly — release each layer
+// of a chain explicitly once it is dead. Releasing the same packet twice
+// in one cycle is a harmless no-op.
 func (t *Topology) ReleasePacket(pkt *inet.Packet) {
 	if pkt == nil {
 		return
 	}
 	t.graveyard = append(t.graveyard, pkt)
-	if !t.reapScheduled {
-		t.reapScheduled = true
-		t.engine.Schedule(0, t.reapFn)
+	if !t.reapArmed {
+		t.reapArmed = true
+		t.engine.Defer(t.reapFn)
 	}
 }
 
-// reap moves graveyard packets into the pool once the releasing event (and
-// its same-instant observers) have run.
+// PoolStats reports the packet pool's traffic (see inet.PoolStats).
+// Packets released but not yet reclaimed count as out of the pool.
+func (t *Topology) PoolStats() inet.PoolStats { return t.pool.Stats() }
+
+// reap moves graveyard packets into the pool once the releasing handler
+// (and every observer it called) has returned.
 func (t *Topology) reap() {
-	t.reapScheduled = false
+	t.reapArmed = false
 	for i, pkt := range t.graveyard {
 		t.pool.Put(pkt)
 		t.graveyard[i] = nil

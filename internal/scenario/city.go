@@ -405,6 +405,8 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 		Scheme:   p.Scheme,
 		PoolSize: p.PoolSize,
 		Alpha:    p.Alpha,
+		Alloc:    topo.AllocPacket,
+		Release:  topo.ReleasePacket,
 	}
 	par := core.NewAccessRouter(engine, parRouter, parNet, dir, arCfg)
 	nar := core.NewAccessRouter(engine, narRouter, narNet, dir, arCfg)

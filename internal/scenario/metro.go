@@ -198,8 +198,9 @@ func RunMetro(p MetroParams) MetroResult {
 	return res
 }
 
-// runMetroCell runs one (variant, host count) cell to completion.
-func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCell {
+// runMetroTestbed builds one (variant, host count) cell's testbed and
+// runs it to completion, drain included.
+func runMetroTestbed(p MetroParams, scheme core.Scheme, request, hosts int) *Testbed {
 	window := p.StaggerWindow
 	if window <= 0 {
 		window = metroWindow(hosts)
@@ -235,7 +236,12 @@ func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCe
 	if err := tb.Engine.Run(tb.Engine.Now() + core.DefaultSessionLifetime + 2*sim.Second); err != nil {
 		panic(fmt.Sprintf("metro drain: %v", err))
 	}
+	return tb
+}
 
+// runMetroCell runs one (variant, host count) cell to completion.
+func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCell {
+	tb := runMetroTestbed(p, scheme, request, hosts)
 	cell := MetroCell{
 		Hosts:        hosts,
 		Events:       tb.Engine.Processed(),

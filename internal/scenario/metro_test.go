@@ -139,3 +139,39 @@ func TestMetroSpecMetrics(t *testing.T) {
 			m["sessions_left_nar_n40"], m["sessions_left_dual_n40"])
 	}
 }
+
+// TestMetroPacketPoolBoundedByInFlight pins the packet lifecycle of a
+// metro cell: every packet the data path touches — application packets,
+// the anchor's tunnel wrappers, SafetyNet copies, the PAR→NAR drain
+// tunnels — is taken from the topology's pool and comes back to it. So
+// the pool's heap footprint (Fresh) follows the packets in flight, which
+// a fixed per-host stagger holds constant (≈20 concurrent flows), and not
+// the packets sent, which grow fourfold from 50 to 200 hosts. A heap
+// allocated wrapper released into the pool shows up as Puts > Gets and
+// as a pool that grows with the run.
+func TestMetroPacketPoolBoundedByInFlight(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.SchemeDual, core.SchemeSafetyNet} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			var fresh [2]uint64
+			for i, hosts := range []int{50, 200} {
+				tb := runMetroTestbed(MetroParams{
+					PoolSize:      240,
+					StaggerWindow: sim.Time(hosts) * 200 * sim.Millisecond,
+					Seed:          1,
+				}, scheme, 12, hosts)
+				st := tb.Topo.PoolStats()
+				sent := tb.Recorder.TotalSent()
+				if st.Puts != st.Gets {
+					t.Errorf("%d hosts: %d packets handed out, %d recycled: the pool leaks or is fed from the heap", hosts, st.Gets, st.Puts)
+				}
+				if st.Fresh*50 > sent {
+					t.Errorf("%d hosts: pool allocated %d packets for %d sent", hosts, st.Fresh, sent)
+				}
+				fresh[i] = st.Fresh
+			}
+			if fresh[1] > fresh[0]+fresh[0]/4 {
+				t.Errorf("pool allocations grew with packets sent: %d at 50 hosts, %d at 200", fresh[0], fresh[1])
+			}
+		})
+	}
+}

@@ -245,7 +245,10 @@ func NewTestbed(p Params) *Testbed {
 		// Re-pin the inter-AR route clobbered by the recomputation.
 		parRouter.AddPrefixRoute(NetNAR, arLink.A())
 		narRouter.AddPrefixRoute(NetPAR, arLink.B())
-		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{ManagedNet: NetHome})
+		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{
+			ManagedNet: NetHome,
+			Alloc:      topo.AllocPacket,
+		})
 	}
 
 	dir := core.NewDirectory()
@@ -258,6 +261,8 @@ func NewTestbed(p Params) *Testbed {
 		PartialGrants:     p.PartialGrants,
 		AuthKey:           p.AuthKey,
 		RetransmitUnacked: p.ControlLossRate > 0,
+		Alloc:             topo.AllocPacket,
+		Release:           topo.ReleasePacket,
 	}
 	par := core.NewAccessRouter(engine, parRouter, NetPAR, dir, arCfg)
 	nar := core.NewAccessRouter(engine, narRouter, NetNAR, dir, arCfg)

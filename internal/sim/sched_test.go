@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -457,11 +458,14 @@ func TestZeroAllocHotPath(t *testing.T) {
 		for e.Step() {
 		}
 
+		// Every other firing defers work, as a packet release does.
+		deferring := func() { e.Defer(fn) }
 		var tick Time
 		allocs := testing.AllocsPerRun(200, func() {
 			for i := 0; i < 16; i++ {
 				tick += Microsecond
 				keep := e.At(tick, fn)
+				e.At(tick, deferring)
 				dead := e.At(tick+Microsecond, fn)
 				e.Cancel(dead)
 				_ = keep
@@ -470,7 +474,82 @@ func TestZeroAllocHotPath(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("Schedule/Cancel/Step steady state allocates %.1f times per run, want 0", allocs)
+			t.Fatalf("Schedule/Cancel/Step/Defer steady state allocates %.1f times per run, want 0", allocs)
+		}
+	})
+}
+
+// TestDefer checks the post-handler list: deferred work runs right after
+// the handler that deferred it, before any other event, and nothing
+// deferred outside a handler runs early or survives a Reset.
+func TestDefer(t *testing.T) {
+	t.Run("after-handler-before-next-event", func(t *testing.T) {
+		e := NewEngine()
+		var log []string
+		e.Schedule(Millisecond, func() {
+			e.Defer(func() { log = append(log, "deferred-a") })
+			// Already queued for the same instant, and scheduled from the
+			// handler for it: both still fire after the deferred work.
+			e.Schedule(0, func() { log = append(log, "scheduled") })
+			e.Defer(func() { log = append(log, "deferred-b") })
+			log = append(log, "handler")
+		})
+		e.Schedule(Millisecond, func() { log = append(log, "queued") })
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"handler", "deferred-a", "deferred-b", "queued", "scheduled"}
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("order %v, want %v", log, want)
+		}
+		if e.Processed() != 3 {
+			t.Fatalf("processed %d events, want 3: deferred work is not an event", e.Processed())
+		}
+	})
+	t.Run("deferred-from-deferred", func(t *testing.T) {
+		e := NewEngine()
+		var log []int
+		var chain func(int) Handler
+		chain = func(n int) Handler {
+			return func() {
+				log = append(log, n)
+				if n < 3 {
+					e.Defer(chain(n + 1))
+				}
+			}
+		}
+		e.Schedule(0, func() { e.Defer(chain(1)) })
+		e.Schedule(0, func() { log = append(log, 0) })
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{1, 2, 3, 0}; !reflect.DeepEqual(log, want) {
+			t.Fatalf("order %v, want %v", log, want)
+		}
+	})
+	t.Run("outside-handler-waits-for-next-firing", func(t *testing.T) {
+		e := NewEngine()
+		ran := false
+		e.Defer(func() { ran = true })
+		if ran {
+			t.Fatal("deferred work ran outside any handler")
+		}
+		sawDuring := true
+		e.Schedule(Second, func() { sawDuring = ran })
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if sawDuring || !ran {
+			t.Fatalf("ran during handler %v, after %v; want false, true", sawDuring, ran)
+		}
+	})
+	t.Run("reset-drops-pending", func(t *testing.T) {
+		e := NewEngine()
+		e.Defer(func() { t.Fatal("deferred work survived Reset") })
+		e.Reset()
+		e.Schedule(0, func() {})
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

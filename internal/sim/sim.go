@@ -15,7 +15,9 @@
 // The hot path is allocation-free in steady state: fired and cancelled
 // events are recycled through a free list, and EventRefs carry a
 // generation counter so a stale reference can never touch the slot's new
-// occupant.
+// occupant. Work that must wait until a handler (and every hook it calls)
+// is done, such as returning dead packets to a pool, goes through Defer
+// instead of a zero-delay event.
 package sim
 
 import (
@@ -192,6 +194,9 @@ type Engine struct {
 	lazy int
 	// free is the recycled-event stack feeding At.
 	free []*event
+	// deferred holds the Defer callbacks Step runs once the firing
+	// handler returns.
+	deferred []Handler
 	// Firing context: the full ordering key of the event whose handler is
 	// currently running inside Step. At stamps inserted events with it,
 	// and FiringKey exposes it so analytic fast paths (netsim's fused
@@ -375,9 +380,29 @@ func (e *Engine) Step() bool {
 	e.firing = true
 	e.curVins, e.curVins2, e.curVseq2, e.curSeq = ev.vins, ev.vins2, ev.vseq2, ev.seq
 	fn()
+	// Index loop: a deferred callback may Defer more work, which runs in
+	// the same drain.
+	for i := 0; i < len(e.deferred); i++ {
+		d := e.deferred[i]
+		e.deferred[i] = nil
+		d()
+	}
+	e.deferred = e.deferred[:0]
 	e.firing = false
 	e.recycle(ev)
 	return true
+}
+
+// Defer runs fn right after the currently firing handler returns, before
+// the next event fires (even one already queued for the same instant).
+// Callbacks run in Defer order, in the firing event's context, and a
+// callback may Defer more. Called outside a handler, fn waits for the end
+// of the next firing; Reset drops callbacks still waiting. Use it instead
+// of a Schedule(0, fn) whose only purpose is to run after the current
+// handler's observers: it takes no event, no sequence number and no heap
+// push, and it does not allocate once the list has grown.
+func (e *Engine) Defer(fn Handler) {
+	e.deferred = append(e.deferred, fn)
 }
 
 // Run processes events until the queue is empty or the clock would pass the
@@ -430,15 +455,17 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
-// queue, sequence counter rewound — while keeping the event free list and
-// queue capacity, so a worker can run many simulation replicas without
-// re-paying allocation warm-up. Events still queued are recycled as
+// queue and Defer list, sequence counter rewound — while keeping the
+// event free list and queue capacity, so a worker can run many
+// simulation replicas without re-paying allocation warm-up. Events still queued are recycled as
 // cancelled; refs into the previous run become stale and report their own
 // event's fate per the EventRef contract. Because the sequence counter
 // restarts at zero, a reset engine schedules events in exactly the order a
 // fresh engine would: replica results are identical either way.
 func (e *Engine) Reset() {
 	e.queue.reset(e.recycle)
+	clear(e.deferred)
+	e.deferred = e.deferred[:0]
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
