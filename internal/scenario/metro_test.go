@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,5 +174,36 @@ func TestMetroPacketPoolBoundedByInFlight(t *testing.T) {
 				t.Errorf("pool allocations grew with packets sent: %d at 50 hosts, %d at 200", fresh[0], fresh[1])
 			}
 		})
+	}
+}
+
+// TestMetroNARCellFullPrecision pins the seed-1 NAR-only cell of RunMetro
+// at 1000 hosts. The metro render rounds delays to three decimals of a
+// millisecond, so a change that moves deliveries by a few nanoseconds (an
+// event-ordering change, say) leaves every published table alone; this
+// guard sees it. The mean is an average of per-flow means, so it is
+// rounded to the picosecond: coarse enough to forgive a reordered
+// floating-point sum, fine enough to see one flow's mean move by 1 ns
+// (rounding to the nanosecond would hide a 0.2 ns shift of the average).
+func TestMetroNARCellFullPrecision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three 1000-host metro cells")
+	}
+	res := RunMetro(MetroParams{Hosts: []int{1000}, Seed: 1})
+	v := res.Variants[0]
+	if v.Slug != "nar" {
+		t.Fatalf("first variant is %q, want nar", v.Slug)
+	}
+	ps := func(ms float64) float64 { return math.Round(ms*1e9) / 1e9 }
+	type outcome struct {
+		MeanDelayMs, MaxDelayMs float64
+		Lost                    [3]uint64
+		Grants, Refusals        uint64
+	}
+	cell := v.Cells[0]
+	got := outcome{ps(cell.MeanDelayMs), ps(cell.MaxDelayMs), cell.Lost, cell.Grants, cell.Refusals}
+	want := outcome{8.674248818, 228.709106, [3]uint64{1890, 1856, 1865}, 440, 560}
+	if got != want {
+		t.Fatalf("nar cell at N=1000, seed 1:\n got %+v\nwant %+v", got, want)
 	}
 }

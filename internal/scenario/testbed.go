@@ -81,8 +81,9 @@ type Params struct {
 	Seed int64
 	// StatsMode selects how the recorder summarizes delays: ModeExact
 	// (default) retains every sample for exact percentiles and delivery
-	// traces; ModeStreaming folds each delay into O(1) digests, keeping
-	// memory O(flows) instead of O(packets) for metro-scale runs.
+	// traces; ModeStreaming folds each delay into per-flow running
+	// aggregates and a per-class histogram, keeping memory O(flows)
+	// instead of O(packets) for metro-scale runs.
 	StatsMode stats.Mode
 	// Engine, when set, is reused for this testbed instead of creating a
 	// fresh one. NewTestbed resets it first, so a worker can run many

@@ -161,8 +161,8 @@ func firstDiffContext(a, b string) string {
 }
 
 // TestStreamingTestbedRetainsNoSamples pins the streaming recorder's
-// memory contract on a real run: delays are counted and aggregated but no
-// per-packet samples are retained.
+// memory contract on a real run: delays are counted, aggregated per flow
+// and binned per class, but no per-packet samples are retained.
 func TestStreamingTestbedRetainsNoSamples(t *testing.T) {
 	tb := NewTestbed(Params{
 		Scheme:        core.SchemeEnhanced,
@@ -189,7 +189,7 @@ func TestStreamingTestbedRetainsNoSamples(t *testing.T) {
 		if len(f.Delays) != 0 {
 			t.Fatalf("streaming flow %d retained %d samples", f.Flow, len(f.Delays))
 		}
-		if f.MaxDelay() == 0 || f.MeanDelay() == 0 || f.DelayPercentile(99) == 0 {
+		if f.MaxDelay() == 0 || f.MeanDelay() == 0 || tb.Recorder.ClassDelayPercentile(f.Class, 99) == 0 {
 			t.Fatalf("flow %d streaming aggregates empty", f.Flow)
 		}
 	}

@@ -8,230 +8,108 @@ import (
 	"repro/internal/sim"
 )
 
-// P2Quantile estimates one quantile of a stream without retaining samples,
-// using the P² algorithm of Jain & Chlamtac (CACM 1985): five markers
-// track the minimum, the target quantile, the two quantiles halfway to the
-// extremes, and the maximum; marker heights are adjusted with a piecewise
-// parabolic fit as observations arrive. Memory is O(1) per quantile.
-type P2Quantile struct {
-	p     float64
-	count int
-	q     [5]float64 // marker heights
-	n     [5]float64 // actual marker positions
-	np    [5]float64 // desired marker positions
-	dn    [5]float64 // desired position increments
+// histSubBits sets the histogram's resolution: every power-of-two octave
+// of sim.Time splits into 2^histSubBits linear sub-buckets, the
+// log-linear layout of HdrHistogram (http://hdrhistogram.org/).
+const histSubBits = 4
+
+// histSub is the number of linear sub-buckets per octave.
+const histSub = 1 << histSubBits
+
+// histBuckets covers every non-negative sim.Time: the values below
+// 2·histSub map one-to-one, and each higher octave, up to the one holding
+// math.MaxInt64, adds histSub buckets.
+const histBuckets = (64 - histSubBits) * histSub
+
+// DelayHistogram counts delays in fixed log-linear buckets. Adding a delay
+// is one bits.Len64, one shift and one increment, and the histogram never
+// grows: it is histBuckets counters (7.5 KB), whatever the stream.
+//
+// Delays below 2·histSub ns sit in buckets of width one and are stored
+// exactly. A larger delay v lands in a bucket [lo, lo+w) with lo ≥ 16·w,
+// so the bucket midpoint Percentile reports is within w/2 ≤ v/32 of v:
+// the relative error of any percentile is at most 1/32. Negative delays
+// count as zero.
+type DelayHistogram struct {
+	counts [histBuckets]uint64
 }
 
-// NewP2Quantile returns an estimator for the quantile p in (0, 1).
-func NewP2Quantile(p float64) P2Quantile {
-	if p <= 0 || p >= 1 {
-		panic("stats: P2 quantile must be in (0, 1)")
-	}
-	return P2Quantile{p: p}
+// histBucket maps a non-negative delay to its bucket. OR-ing in histSub
+// keeps the shift at zero below 2·histSub without a branch.
+func histBucket(d sim.Time) int {
+	v := uint64(d)
+	shift := bits.Len64(v|histSub) - (histSubBits + 1)
+	return shift<<histSubBits + int(v>>uint(shift))
 }
 
-// Quantile returns the target quantile in (0, 1).
-func (e *P2Quantile) Quantile() float64 { return e.p }
-
-// Count returns how many observations have been added.
-func (e *P2Quantile) Count() int { return e.count }
-
-// Add feeds one observation.
-func (e *P2Quantile) Add(x float64) {
-	if e.count < 5 {
-		// Insertion sort the first five observations into the markers.
-		i := e.count
-		for i > 0 && e.q[i-1] > x {
-			e.q[i] = e.q[i-1]
-			i--
-		}
-		e.q[i] = x
-		e.count++
-		if e.count == 5 {
-			e.n = [5]float64{1, 2, 3, 4, 5}
-			e.np = [5]float64{1, 1 + 2*e.p, 1 + 4*e.p, 3 + 2*e.p, 5}
-			e.dn = [5]float64{0, e.p / 2, e.p, (1 + e.p) / 2, 1}
-		}
-		return
+// histBounds returns the smallest and largest delay bucket i holds.
+func histBounds(i int) (lo, hi sim.Time) {
+	shift := i>>histSubBits - 1
+	if shift < 0 {
+		shift = 0
 	}
-	e.count++
-
-	// Find the cell containing x, extending the extremes if needed.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.n[i]++
-	}
-	for i := range e.np {
-		e.np[i] += e.dn[i]
-	}
-
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.np[i] - e.n[i]
-		if (d >= 1 && e.n[i+1]-e.n[i] > 1) || (d <= -1 && e.n[i-1]-e.n[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1.0
-			}
-			qp := e.parabolic(i, sign)
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				e.q[i] = e.linear(i, sign)
-			}
-			e.n[i] += sign
-		}
-	}
+	lo = sim.Time(i-shift<<histSubBits) << uint(shift)
+	return lo, lo + (sim.Time(1)<<uint(shift) - 1)
 }
 
-// parabolic is the P² piecewise-parabolic height prediction for marker i
-// moved by d (±1).
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.n[i+1]-e.n[i-1])*
-		((e.n[i]-e.n[i-1]+d)*(e.q[i+1]-e.q[i])/(e.n[i+1]-e.n[i])+
-			(e.n[i+1]-e.n[i]-d)*(e.q[i]-e.q[i-1])/(e.n[i]-e.n[i-1]))
-}
-
-// linear is the fallback height prediction when the parabola overshoots a
-// neighbouring marker.
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.n[j]-e.n[i])
-}
-
-// Value returns the current estimate (exact for fewer than five
-// observations, zero when empty).
-func (e *P2Quantile) Value() float64 {
-	if e.count == 0 {
-		return 0
+// Add counts one delay.
+func (h *DelayHistogram) Add(d sim.Time) {
+	if d < 0 {
+		d = 0
 	}
-	if e.count < 5 {
-		// Markers hold the sorted prefix: nearest-rank on it is exact.
-		rank := int(math.Ceil(e.p * float64(e.count)))
-		if rank < 1 {
-			rank = 1
-		}
-		return e.q[rank-1]
-	}
-	return e.q[2]
-}
-
-// digestBins is the fixed histogram resolution: one bin per power of two
-// of nanoseconds, covering the whole sim.Time range.
-const digestBins = 64
-
-// DigestPercentiles are the percentiles the streaming digest tracks with
-// P² estimators; other percentiles fall back to the power-of-two
-// histogram's coarser nearest-rank answer.
-var DigestPercentiles = [4]float64{50, 90, 95, 99}
-
-// DelayDigest summarizes a delay stream in O(1) space: P² estimators for
-// the canonical percentiles plus a fixed power-of-two histogram for
-// arbitrary percentile queries. It retains no samples, so streaming-mode
-// recorders hold O(flows) state instead of O(packets).
-type DelayDigest struct {
-	count uint64
-	est   [len(DigestPercentiles)]P2Quantile
-	bins  [digestBins]uint64
-}
-
-// NewDelayDigest returns an empty digest.
-func NewDelayDigest() *DelayDigest {
-	d := &DelayDigest{}
-	for i, p := range DigestPercentiles {
-		d.est[i] = NewP2Quantile(p / 100)
-	}
-	return d
-}
-
-// binOf maps a delay to its power-of-two histogram bin.
-func binOf(delay sim.Time) int {
-	if delay <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(delay)) - 1
-}
-
-// Add feeds one delay observation.
-func (d *DelayDigest) Add(delay sim.Time) {
-	d.count++
-	x := float64(delay)
-	for i := range d.est {
-		d.est[i].Add(x)
-	}
-	d.bins[binOf(delay)]++
+	h.counts[histBucket(d)]++
 }
 
 // Count returns how many delays have been added.
-func (d *DelayDigest) Count() uint64 { return d.count }
-
-// Percentile estimates the p-th percentile (0 < p ≤ 100). Canonical
-// percentiles (DigestPercentiles) answer from the P² estimators; others
-// from the histogram, with power-of-two resolution.
-func (d *DelayDigest) Percentile(p float64) sim.Time {
-	if d.count == 0 || p <= 0 {
-		return 0
+func (h *DelayHistogram) Count() uint64 {
+	var n uint64
+	for _, c := range h.counts {
+		n += c
 	}
-	if p > 100 {
-		p = 100
-	}
-	for i, cp := range DigestPercentiles {
-		if p == cp {
-			v := d.est[i].Value()
-			if v < 0 {
-				return 0
-			}
-			return sim.Time(math.Round(v))
-		}
-	}
-	rank := uint64(math.Ceil(p / 100 * float64(d.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for b, n := range d.bins {
-		cum += n
-		if cum >= rank {
-			if b == 0 {
-				return 1
-			}
-			// Upper bound of the bin: all delays in it are ≤ 2^(b+1)-1.
-			if b >= 62 {
-				return sim.MaxTime
-			}
-			return sim.Time(uint64(1)<<uint(b+1) - 1)
-		}
-	}
-	return sim.MaxTime
+	return n
 }
 
-// sortedPercentile is the exact nearest-rank percentile over a sorted
-// slice, shared by the exact recorder path and the differential tests.
-func sortedPercentile(sorted []sim.Time, p float64) sim.Time {
-	n := len(sorted)
+// Percentile returns the midpoint of the bucket holding the nearest-rank
+// p-th percentile (0 < p ≤ 100; larger p is clamped to 100), within 1/32
+// of the exact value; zero when empty or p ≤ 0.
+func (h *DelayHistogram) Percentile(p float64) sim.Time {
+	rank := nearestRank(p, h.Count())
+	if rank == 0 {
+		return 0
+	}
+	var cum uint64
+	for i, c := range h.counts {
+		cum += c
+		if cum >= rank {
+			lo, hi := histBounds(i)
+			return lo + (hi-lo+1)/2
+		}
+	}
+	panic("stats: histogram rank past its count")
+}
+
+// nearestRank returns the 1-based nearest rank of the p-th percentile of n
+// values (p clamped to 100), or zero when n is zero or p ≤ 0.
+func nearestRank(p float64, n uint64) uint64 {
 	if n == 0 || p <= 0 {
 		return 0
 	}
 	if p > 100 {
 		p = 100
 	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
+	rank := uint64(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
+	}
+	return rank
+}
+
+// sortedPercentile is the exact nearest-rank percentile over a sorted
+// slice, shared by the exact recorder path and the differential tests.
+func sortedPercentile(sorted []sim.Time, p float64) sim.Time {
+	rank := nearestRank(p, uint64(len(sorted)))
+	if rank == 0 {
+		return 0
 	}
 	return sorted[rank-1]
 }

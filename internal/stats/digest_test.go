@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"math"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,115 +10,172 @@ import (
 	"repro/internal/sim"
 )
 
-func TestP2QuantileSmallStreamsExact(t *testing.T) {
-	// Under five observations the markers hold the sorted prefix, so the
-	// estimate must equal the exact nearest-rank percentile.
-	e := NewP2Quantile(0.5)
-	if e.Value() != 0 {
-		t.Fatal("empty estimator not zero")
-	}
-	for i, x := range []float64{30, 10, 20} {
-		e.Add(x)
-		_ = i
-	}
-	if got := e.Value(); got != 20 {
-		t.Fatalf("median of {10,20,30} = %v, want 20", got)
-	}
-	if e.Count() != 3 {
-		t.Fatalf("Count = %d", e.Count())
-	}
+// spreadDelay maps a raw word to a non-negative delay whose magnitude is
+// spread evenly over the octaves: the low bits choose how far the rest is
+// shifted down, so every bucket of the histogram is reachable.
+func spreadDelay(raw uint64) sim.Time {
+	return sim.Time(int64(raw>>1) >> (raw % 63))
 }
 
-func TestP2QuantilePanicsOnBadQuantile(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for p=%v", p)
-				}
-			}()
-			NewP2Quantile(p)
-		}()
+// withinBucketError reports whether an estimate is within the histogram's
+// documented error of the exact value: 1/32 relative, exact below 32 ns.
+func withinBucketError(est, exact sim.Time) bool {
+	diff := est - exact
+	if diff < 0 {
+		diff = -diff
 	}
-}
-
-func TestP2QuantileUniformAccuracy(t *testing.T) {
-	// On 10k uniform samples the P² estimate of canonical quantiles must
-	// land within 2% of the true value.
-	rng := rand.New(rand.NewSource(7))
-	quantiles := []float64{0.5, 0.9, 0.95, 0.99}
-	ests := make([]P2Quantile, len(quantiles))
-	for i, q := range quantiles {
-		ests[i] = NewP2Quantile(q)
-	}
-	for i := 0; i < 10_000; i++ {
-		x := rng.Float64() * 1000
-		for j := range ests {
-			ests[j].Add(x)
-		}
-	}
-	for i, q := range quantiles {
-		want := q * 1000
-		got := ests[i].Value()
-		if math.Abs(got-want) > 20 {
-			t.Errorf("p=%v: estimate %v, want ~%v", q, got, want)
-		}
-	}
-}
-
-// Property: the P² estimate always lies within the observed min/max.
-func TestPropertyP2Bounded(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		e := NewP2Quantile(0.9)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, r := range raw {
-			x := float64(r)
-			e.Add(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		v := e.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	return float64(diff) <= float64(exact)/32
 }
 
 func TestDelayDigestEmptyAndClamp(t *testing.T) {
-	d := NewDelayDigest()
-	if d.Percentile(99) != 0 || d.Percentile(0) != 0 {
-		t.Fatal("empty digest percentile not zero")
+	var h DelayHistogram
+	if h.Count() != 0 || h.Percentile(99) != 0 || h.Percentile(0) != 0 {
+		t.Fatal("empty histogram not zero")
 	}
-	d.Add(10 * sim.Millisecond)
-	if d.Count() != 1 {
-		t.Fatalf("Count = %d", d.Count())
+	h.Add(10 * sim.Millisecond)
+	if h.Count() != 1 {
+		t.Fatalf("Count = %d", h.Count())
 	}
-	if d.Percentile(150) != d.Percentile(100) {
+	if h.Percentile(0) != 0 || h.Percentile(-5) != 0 {
+		t.Fatal("percentile at or below 0 not zero")
+	}
+	if h.Percentile(150) != h.Percentile(100) {
 		t.Fatal("percentile above 100 not clamped")
+	}
+	h.Add(-7) // a negative delay counts as zero
+	if h.Count() != 2 || h.Percentile(50) != 0 {
+		t.Fatalf("negative delay: count %d, p50 %v; want 2, 0", h.Count(), h.Percentile(50))
 	}
 }
 
 func TestDelayDigestHistogramFallback(t *testing.T) {
-	// Non-canonical percentiles come from the power-of-two histogram:
-	// the answer must be an upper bound of the right bin.
-	d := NewDelayDigest()
-	for i := 0; i < 100; i++ {
-		d.Add(sim.Time(1000)) // all in bin 9 (512..1023)
+	// Below 2·histSub ns every delay has a bucket of its own.
+	for v := sim.Time(0); v < 2*histSub; v++ {
+		var h DelayHistogram
+		h.Add(v)
+		if got := h.Percentile(50); got != v {
+			t.Fatalf("small delay %d reads back as %d", v, got)
+		}
 	}
-	got := d.Percentile(42)
-	if got < 1000 || got > 1023 {
-		t.Fatalf("histogram percentile = %v, want within [1000, 1023]", got)
+	// 1000 ns falls in the octave [512, 1024), split into 32 ns
+	// sub-buckets: [992, 1023], whose midpoint is 1008.
+	var h DelayHistogram
+	for i := 0; i < 100; i++ {
+		h.Add(1000)
+	}
+	if got := h.Percentile(42); got != 1008 {
+		t.Fatalf("percentile = %v, want the bucket midpoint 1008", got)
+	}
+	// The last bucket ends exactly at the largest sim.Time.
+	if b := histBucket(sim.MaxTime); b != histBuckets-1 {
+		t.Fatalf("MaxTime in bucket %d, want %d", b, histBuckets-1)
+	}
+	if _, hi := histBounds(histBuckets - 1); hi != sim.MaxTime {
+		t.Fatalf("last bucket ends at %d, want MaxTime", hi)
+	}
+	h.Add(sim.MaxTime)
+	if got := h.Percentile(100); !withinBucketError(got, sim.MaxTime) {
+		t.Fatalf("p100 with MaxTime = %d", got)
 	}
 }
 
+// TestHistogramBucketsTile checks the bucket layout as a whole: buckets
+// are contiguous, non-overlapping and start at zero, so every
+// non-negative delay has exactly one bucket.
+func TestHistogramBucketsTile(t *testing.T) {
+	next := sim.Time(0)
+	for i := 0; i < histBuckets; i++ {
+		lo, hi := histBounds(i)
+		if lo != next || hi < lo {
+			t.Fatalf("bucket %d is [%d, %d], want it to start at %d", i, lo, hi, next)
+		}
+		if histBucket(lo) != i || histBucket(hi) != i {
+			t.Fatalf("bucket %d bounds map to %d and %d", i, histBucket(lo), histBucket(hi))
+		}
+		next = hi + 1
+	}
+}
+
+// Property: over random delays spanning every octave of the non-negative
+// int64 range, each delay lies inside its bucket's bounds, the bucket
+// index is monotone in the delay, and every percentile is within 1/32 of
+// the exact nearest-rank value.
+func TestPropertyHistogramBoundedError(t *testing.T) {
+	f := func(raw []uint64) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		var h DelayHistogram
+		delays := make([]sim.Time, len(raw))
+		for i, r := range raw {
+			d := spreadDelay(r)
+			lo, hi := histBounds(histBucket(d))
+			if d < lo || d > hi {
+				t.Logf("delay %d outside its bucket [%d, %d]", d, lo, hi)
+				return false
+			}
+			delays[i] = d
+			h.Add(d)
+		}
+		sortTimes(delays)
+		for i := 1; i < len(delays); i++ {
+			if histBucket(delays[i]) < histBucket(delays[i-1]) {
+				t.Logf("bucket of %d below bucket of %d", delays[i], delays[i-1])
+				return false
+			}
+		}
+		for _, p := range []float64{0.1, 1, 10, 25, 50, 75, 90, 99, 99.9, 100} {
+			est, exact := h.Percentile(p), sortedPercentile(delays, p)
+			if !withinBucketError(est, exact) {
+				t.Logf("p%v: histogram %d, exact %d", p, est, exact)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzDelayHistogram feeds arbitrary delay streams: the count is
+// conserved, each delay is contained in its bucket, and the percentile is
+// monotone in p.
+func FuzzDelayHistogram(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h DelayHistogram
+		var n uint64
+		for ; len(data) >= 8; data = data[8:] {
+			d := spreadDelay(binary.LittleEndian.Uint64(data))
+			lo, hi := histBounds(histBucket(d))
+			if d < lo || d > hi {
+				t.Fatalf("delay %d outside its bucket [%d, %d]", d, lo, hi)
+			}
+			h.Add(d)
+			n++
+		}
+		if h.Count() != n {
+			t.Fatalf("Count = %d after %d adds", h.Count(), n)
+		}
+		prev := sim.Time(0)
+		for _, p := range []float64{0.01, 1, 25, 50, 90, 99, 99.99, 100} {
+			v := h.Percentile(p)
+			if v < prev {
+				t.Fatalf("p%v = %d below the previous percentile %d", p, v, prev)
+			}
+			prev = v
+		}
+	})
+}
+
 // TestStreamingDifferential replays one seeded operation stream through an
-// exact-mode and a streaming-mode recorder: every counter must agree
-// exactly, and the streaming percentile estimates must stay within a
-// tolerance band of the exact nearest-rank values.
+// exact-mode and a streaming-mode recorder: every counter and running
+// aggregate must agree exactly, and each class's streaming percentiles
+// must stay within 1/32 of the exact nearest-rank value over that class's
+// retained samples.
 func TestStreamingDifferential(t *testing.T) {
 	exact := NewRecorder()
 	stream := NewRecorderMode(ModeStreaming)
@@ -163,6 +220,7 @@ func TestStreamingDifferential(t *testing.T) {
 	if len(ef) != len(sf) {
 		t.Fatalf("flow counts diverge: %d vs %d", len(ef), len(sf))
 	}
+	classDelays := map[inet.Class][]sim.Time{}
 	for i := range ef {
 		e, s := ef[i], sf[i]
 		if e.Flow != s.Flow || e.Sent != s.Sent || e.Delivered != s.Delivered {
@@ -178,17 +236,27 @@ func TestStreamingDifferential(t *testing.T) {
 		if len(s.Delays) != 0 {
 			t.Fatalf("streaming flow %d retained %d samples", s.Flow, len(s.Delays))
 		}
-		// P² estimates of the canonical percentiles stay within 5% of the
-		// exact nearest-rank answer on this smooth delay distribution.
-		for _, p := range DigestPercentiles {
-			ev, sv := float64(e.DelayPercentile(p)), float64(s.DelayPercentile(p))
-			if ev == 0 {
-				continue
-			}
-			if math.Abs(sv-ev)/ev > 0.05 {
-				t.Errorf("flow %d p%v: streaming %v vs exact %v", e.Flow, p, sv, ev)
+		for _, d := range e.Delays {
+			classDelays[e.Class] = append(classDelays[e.Class], d.Delay)
+		}
+	}
+	if len(classDelays) != len(inet.Classes) {
+		t.Fatalf("delays seen in %d classes, want %d", len(classDelays), len(inet.Classes))
+	}
+	for class, delays := range classDelays {
+		sortTimes(delays)
+		for _, p := range []float64{1, 50, 90, 95, 99, 99.9, 100} {
+			ev, sv := sortedPercentile(delays, p), stream.ClassDelayPercentile(class, p)
+			if !withinBucketError(sv, ev) {
+				t.Errorf("%v p%v: streaming %v vs exact %v", class, p, sv, ev)
 			}
 		}
+	}
+	if exact.ClassDelayPercentile(inet.ClassRealTime, 50) != 0 {
+		t.Fatal("exact-mode recorder answered a class percentile")
+	}
+	if stream.ClassDelayPercentile(inet.ClassUnspecified, 50) != 0 {
+		t.Fatal("streaming recorder invented unspecified-class delays")
 	}
 }
 
@@ -245,4 +313,22 @@ func FuzzInternSite(f *testing.F) {
 			t.Fatalf("collision: %q and %q share ID %v", name, name+"\x00x", id)
 		}
 	})
+}
+
+func TestClassDelayPercentileFoldsUnknownClass(t *testing.T) {
+	r := NewRecorderMode(ModeStreaming)
+	const odd = inet.Class(9)
+	r.DeclareFlow(1, odd)
+	r.Delivered(&inet.Packet{Flow: 1, Class: odd, Created: 100}, 120)
+	if got := r.ClassDelayPercentile(inet.ClassUnspecified, 100); got != 20 {
+		t.Fatalf("unspecified-class p100 = %v, want the folded 20 ns delay", got)
+	}
+	if got := r.ClassDelayPercentile(odd, 100); got != 20 {
+		t.Fatalf("class %d p100 = %v, want it to answer as unspecified", odd, got)
+	}
+	for _, c := range inet.Classes {
+		if r.ClassDelayPercentile(c, 100) != 0 {
+			t.Fatalf("class %v picked up the folded delay", c)
+		}
+	}
 }

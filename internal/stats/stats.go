@@ -5,19 +5,20 @@
 // The recording hot path is O(1) and allocation-free in steady state:
 // flows live in a dense table indexed by a small interned flow index, and
 // drops are counted in arrays indexed by interned DropSite instead of
-// string-keyed maps. Two modes govern the delay state: ModeExact (the
-// default) retains every DelaySample, exactly as the figures require;
-// ModeStreaming replaces the retained samples with O(1) running aggregates
-// plus a streaming DelayDigest (P² percentile estimators and a fixed
-// power-of-two histogram), so metro-scale runs hold O(flows) rather than
-// O(packets) delay state.
+// string-keyed maps. Two modes govern the delay state. ModeExact (the
+// default) retains every DelaySample, exactly as the figures require.
+// ModeStreaming retains no samples: each flow keeps O(1) running
+// aggregates (count, sum, max, jitter), and the recorder keeps one
+// DelayHistogram per traffic class (Table 3.1), a fixed log-linear layout
+// that answers any class percentile within 1/32 of the exact value. The
+// streaming delay state is ~30 KB per recorder, allocated once, whatever
+// the number of flows or packets.
 //
 // All collectors run on the single simulation goroutine; none are safe for
 // concurrent use.
 package stats
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/inet"
@@ -31,9 +32,10 @@ const (
 	// ModeExact retains every delivered packet's DelaySample. All delay
 	// queries are exact; memory grows O(packets).
 	ModeExact Mode = iota
-	// ModeStreaming retains only running aggregates and a DelayDigest per
-	// flow. Max/mean/jitter stay exact (they are running computations
-	// either way); percentiles are estimates. Memory stays O(flows).
+	// ModeStreaming retains only running aggregates per flow and a
+	// DelayHistogram per class. Max/mean/jitter stay exact (they are
+	// running computations either way); percentiles are per class, within
+	// 1/32 (Recorder.ClassDelayPercentile). Memory stays O(flows).
 	ModeStreaming
 )
 
@@ -69,9 +71,6 @@ type FlowStats struct {
 	delayMax   sim.Time
 	lastDelay  sim.Time
 	jitterSum  sim.Time
-
-	// digest summarizes delays in ModeStreaming; nil in ModeExact.
-	digest *DelayDigest
 
 	// sortedDelays caches the ascending delays for percentile queries;
 	// rebuilt only when Delays has grown since the last query.
@@ -195,6 +194,21 @@ type Recorder struct {
 	dupBytes   uint64
 	dedupMH    uint64
 	dedupNAR   uint64
+
+	// classDelays holds one delay histogram per class, indexed by
+	// inet.Class, in ModeStreaming; nil in ModeExact.
+	classDelays *[numClasses]DelayHistogram
+}
+
+// numClasses counts the Table 3.1 class values, ClassUnspecified included.
+const numClasses = int(inet.ClassBestEffort) + 1
+
+// classSlot folds a class outside Table 3.1 into ClassUnspecified.
+func classSlot(c inet.Class) inet.Class {
+	if !c.Valid() {
+		return inet.ClassUnspecified
+	}
+	return c
 }
 
 // denseLimit bounds the direct-index flow table. Scenario flow IDs are
@@ -207,7 +221,11 @@ func NewRecorder() *Recorder { return NewRecorderMode(ModeExact) }
 
 // NewRecorderMode returns an empty recorder in the given mode.
 func NewRecorderMode(mode Mode) *Recorder {
-	return &Recorder{mode: mode}
+	r := &Recorder{mode: mode}
+	if mode == ModeStreaming {
+		r.classDelays = new([numClasses]DelayHistogram)
+	}
+	return r
 }
 
 // Mode returns the recorder's delay-retention mode.
@@ -232,9 +250,6 @@ func (r *Recorder) flowSlow(id inet.FlowID) *FlowStats {
 		}
 	}
 	f := &FlowStats{Flow: id}
-	if r.mode == ModeStreaming {
-		f.digest = NewDelayDigest()
-	}
 	r.flows = append(r.flows, f)
 	idx := int32(len(r.flows))
 	if id < denseLimit {
@@ -274,8 +289,8 @@ func (r *Recorder) Delivered(pkt *inet.Packet, at sim.Time) {
 	f.Delivered++
 	d := at - pkt.Created
 	f.observeDelay(d)
-	if f.digest != nil {
-		f.digest.Add(d)
+	if r.classDelays != nil {
+		r.classDelays[classSlot(f.Class)].Add(d)
 		return
 	}
 	f.Delays = append(f.Delays, DelaySample{Seq: pkt.Seq, At: at, Delay: d})
@@ -414,34 +429,32 @@ func (r *Recorder) TotalLost() uint64 {
 	return total
 }
 
-// DelayPercentile returns the p-th percentile (0 < p ≤ 100) of recorded
-// delays; zero when no samples. In exact mode it is the nearest-rank
-// percentile over a sorted copy, cached and reused across queries until
-// new samples arrive. In streaming mode it answers from the DelayDigest
-// (P² estimate at the canonical percentiles, histogram otherwise).
+// DelayPercentile returns the exact nearest-rank p-th percentile
+// (0 < p ≤ 100) of the flow's retained delays: sorted once into a cached
+// copy that is reused until new samples arrive. Exact mode only (zero
+// without retained samples; streaming recorders answer per class through
+// Recorder.ClassDelayPercentile).
 func (f *FlowStats) DelayPercentile(p float64) sim.Time {
-	if len(f.Delays) == 0 && f.digest != nil {
-		return f.digest.Percentile(p)
-	}
-	n := len(f.Delays)
-	if n == 0 || p <= 0 {
-		return 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	if len(f.sortedDelays) != n {
+	if len(f.sortedDelays) != len(f.Delays) {
 		f.sortedDelays = f.sortedDelays[:0]
 		for _, s := range f.Delays {
 			f.sortedDelays = append(f.sortedDelays, s.Delay)
 		}
 		sortTimes(f.sortedDelays)
 	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
+	return sortedPercentile(f.sortedDelays, p)
+}
+
+// ClassDelayPercentile returns the p-th percentile (0 < p ≤ 100) of the
+// delays delivered on flows of one class, from the class's DelayHistogram:
+// within 1/32 of the exact nearest-rank value, and exact below 32 ns.
+// Classes outside Table 3.1 answer as ClassUnspecified. Streaming mode
+// only (zero in exact mode, whose flows answer through DelayPercentile).
+func (r *Recorder) ClassDelayPercentile(class inet.Class, p float64) sim.Time {
+	if r.classDelays == nil {
+		return 0
 	}
-	return f.sortedDelays[rank-1]
+	return r.classDelays[classSlot(class)].Percentile(p)
 }
 
 // Jitter returns the mean absolute difference between consecutive
