@@ -27,11 +27,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/prof"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/wireless"
 )
 
 // defaultSpecs are the headline experiments the replica fan-out runs when
@@ -59,8 +57,6 @@ func run(args []string, stdout io.Writer) error {
 	specList := fs.String("spec", defaultSpecs, "comma-separated runner specs for -replicas (see -list)")
 	shards := fs.Int("shards", 0, "shard count for the city scenario (0: fixed default; results depend on the shard count, never on workers)")
 	workers := fs.Int("workers", 0, "goroutines running city shards (0: GOMAXPROCS; any value yields byte-identical results)")
-	fused := fs.Bool("fused", netsim.FusedLinks(), "analytic link transmit path: one scheduler event per wired hop instead of two (results are identical; -fused=false is the classic baseline)")
-	fusedAir := fs.Bool("fused-air", wireless.FusedAir(), "analytic radio transmit path: one scheduler event per air frame instead of two (results are identical; -fused-air=false is the classic baseline, also selected by WIRELESS_FUSED=0)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -69,8 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	scenario.SetDefaultCityShards(*shards)
 	scenario.SetDefaultCityWorkers(*workers)
-	netsim.SetFusedLinks(*fused)
-	wireless.SetFusedAir(*fusedAir)
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {
 		return err

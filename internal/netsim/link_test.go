@@ -267,43 +267,39 @@ func TestByteLimitedQueue(t *testing.T) {
 	}
 }
 
-// Property: byte accounting stays consistent with the classic queue's
-// contents under any traffic pattern, and the fused path reconstructs the
-// identical value from its departure ring.
+// Property: byte accounting stays consistent with the queue's contents
+// under any traffic pattern. Every packet is sent at instant zero, so the
+// first accepted packet is serializing throughout and the queue is
+// exactly the packets accepted behind it.
 func TestPropertyByteAccounting(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		e := sim.NewEngine()
-		cfg := LinkConfig{BandwidthBPS: 100_000, QueueLimitBytes: 500}
-		prev := SetFusedLinks(false)
 		a := NewHost("a", inet.Addr{Net: 1, Host: 1})
 		b := NewHost("b", inet.Addr{Net: 2, Host: 1})
-		lc := Connect(e, a, b, cfg)
-		SetFusedLinks(true)
-		c := NewHost("c", inet.Addr{Net: 3, Host: 1})
-		d := NewHost("d", inet.Addr{Net: 4, Host: 1})
-		lf := Connect(e, c, d, cfg)
-		SetFusedLinks(prev)
+		l := Connect(e, a, b, LinkConfig{BandwidthBPS: 100_000, QueueLimitBytes: 500})
 		b.Receive = func(pkt *inet.Packet) {}
-		d.Receive = func(pkt *inet.Packet) {}
+		var accepted []int
 		for _, s := range sizes {
+			dropped := l.A().Dropped()
 			a.Send(newPkt(a.Addr(), b.Addr(), int(s)+1))
-			c.Send(newPkt(c.Addr(), d.Addr(), int(s)+1))
+			if l.A().Dropped() == dropped {
+				accepted = append(accepted, int(s)+1)
+			}
 			sum := 0
-			for _, p := range lc.a.queue {
-				sum += p.Size
+			for _, size := range accepted[1:] {
+				sum += size
 			}
-			if sum != lc.A().QueueBytes() || sum > 500 {
+			if sum != l.A().QueueBytes() || sum > 500 || l.A().QueueLen() != len(accepted)-1 {
 				return false
 			}
-			if lf.A().QueueBytes() != sum || lf.A().QueueLen() != lc.A().QueueLen() {
-				return false
-			}
+			checkConservation(t, l.A(), uint64(len(accepted)))
 		}
 		if err := e.RunAll(); err != nil {
 			return false
 		}
-		return lc.A().QueueBytes() == 0 && lf.A().QueueBytes() == 0 &&
-			lf.A().Sent() == lc.A().Sent() && lf.A().Dropped() == lc.A().Dropped()
+		checkConservation(t, l.A(), uint64(len(accepted)))
+		return l.A().QueueBytes() == 0 && l.A().Sent() == uint64(len(accepted)) &&
+			l.A().Dropped() == uint64(len(sizes)-len(accepted))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

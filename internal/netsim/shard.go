@@ -11,9 +11,10 @@ import (
 // ShardExchange owns the cross-shard mailboxes of a partitioned topology.
 // A link created through ShardExchange.Connect joins nodes whose engines
 // belong to different shards of a sim.ShardGroup: during an epoch each
-// direction buffers finished transmissions in an outbox private to the
-// sending shard, and Flush — installed as the group's exchange callback —
-// migrates them into the receiving engines at the barrier.
+// direction buffers accepted packets, stamped with their arrival instants,
+// in an outbox private to the sending shard, and Flush — installed as the
+// group's exchange callback — migrates them into the receiving engines at
+// the barrier.
 //
 // Flush runs single-threaded over ports in creation order, so the sequence
 // numbers the receiving engines assign to arrival events are a pure
@@ -82,14 +83,7 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	if cfg.Delay < 1 {
 		panic(fmt.Sprintf("netsim: cross-shard link %s--%s needs a positive delay", a.Name(), b.Name()))
 	}
-	fc := FusedLinks()
-	l := &Link{cfg: cfg}
-	l.a = &Iface{engine: ea, node: a, link: l, fusedCfg: fc}
-	l.b = &Iface{engine: eb, node: b, link: l, fusedCfg: fc}
-	l.a.peer = l.b
-	l.b.peer = l.a
-	l.a.txDoneFn = l.a.txDone
-	l.b.txDoneFn = l.b.txDone
+	l := newLink(ea, eb, a, b, cfg)
 
 	// One mailbox per direction, delivering into the far side's engine.
 	pa := &xPort{owner: x, recv: eb, dst: l.b}
@@ -102,14 +96,7 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	if x.minDelay == 0 || cfg.Delay < x.minDelay {
 		x.minDelay = cfg.Delay
 	}
-
-	if at, ok := a.(IfaceAttacher); ok {
-		at.AttachIface(l.a)
-	}
-	if bt, ok := b.(IfaceAttacher); ok {
-		bt.AttachIface(l.b)
-	}
-	return l
+	return l.attach()
 }
 
 // Flush migrates every outbox entry buffered since the previous barrier
@@ -139,7 +126,7 @@ func (x *ShardExchange) Flush() {
 	}
 }
 
-// xEntry is one finished cross-shard transmission awaiting the barrier.
+// xEntry is one accepted cross-shard packet awaiting the barrier.
 type xEntry struct {
 	at  sim.Time // arrival instant at the far end (send time + delay)
 	pkt *inet.Packet
@@ -148,7 +135,7 @@ type xEntry struct {
 // xPort is one direction of a cross-shard link: an outbox filled by the
 // sending shard during its epoch and a pending FIFO consumed by arrival
 // events on the receiving engine. Arrival instants are nondecreasing per
-// port (transmissions finish in time order and the delay is constant), so
+// port (departures are FIFO and the delay is constant), so
 // the FIFO head is always the packet whose arrival event is firing —
 // exactly the invariant Iface.deliver relies on for in-shard links.
 type xPort struct {
@@ -163,7 +150,7 @@ type xPort struct {
 	dirty bool
 }
 
-// park buffers one finished transmission for the next barrier flush and
+// park buffers one accepted packet for the next barrier flush and
 // maintains the exchange's dirty accounting. It runs on the sending
 // shard's goroutine mid-epoch; the 0→1 transition is the only point that
 // touches shared state, through owner.dirtyPorts.

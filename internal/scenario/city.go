@@ -612,18 +612,17 @@ type CityResult struct {
 	// Links aggregates wired-link utilization per role (both directions of
 	// every domain's link with that role summed): packets accepted into the
 	// transmit queue, packets handed to the far node, and tail drops.
-	// Deterministic for a fixed shard count — and, with the analytic link
-	// fast path, reconstructed lazily from the departure ring rather than
-	// counted by txDone events, so it renders into the golden output as the
-	// observable check on the fused counter reconstruction.
+	// Deterministic for a fixed shard count — and reconstructed lazily
+	// from the links' departure rings rather than counted by events, so it
+	// renders into the golden output as the observable check on that
+	// reconstruction.
 	Links []CityLinkUse
 	// Air aggregates the radio data plane across all domains: downlink
 	// frames the APs serialized onto the air and dropped undeliverable,
-	// uplink frames the stations serialized and discarded. With the fused
-	// air path these are reconstructed lazily from the departure rings
-	// rather than counted by txDone events; they are identical in both air
-	// modes, so they render into the golden output as the observable check
-	// on the fused counter reconstruction.
+	// uplink frames the stations serialized and discarded. They are
+	// reconstructed lazily from the radios' departure rings rather than
+	// counted by events, so they render into the golden output as the
+	// observable check on that reconstruction.
 	AirDownSent  uint64
 	AirDownDrops uint64
 	AirUpSent    uint64
@@ -808,8 +807,8 @@ func (r CityResult) Render() string {
 		app("%10s%12d sent%12d delivered%10d dropped\n",
 			lu.Role, lu.Sent, lu.Delivered, lu.Dropped)
 	}
-	// Radio data plane, all domains summed: identical in both air modes
-	// (the fused path reconstructs the counters from its departure rings).
+	// Radio data plane, all domains summed (reconstructed from the radios'
+	// departure rings).
 	app("air: downlink %d sent %d dropped, uplink %d sent %d dropped\n",
 		r.AirDownSent, r.AirDownDrops, r.AirUpSent, r.AirUpDrops)
 	// Barrier efficiency (absent for a single shard, where the run is the

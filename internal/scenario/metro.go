@@ -104,9 +104,7 @@ type MetroCell struct {
 	// post-run drain; zero in a correct run.
 	SessionsLeft int
 	// Events is the number of scheduler events the cell's run processed —
-	// the per-cell cost axis the analytic link fast path halves on wired
-	// hops. It depends on the link transmit path (fused vs classic), never
-	// on scheduler choice or engine reuse.
+	// the per-cell cost axis. It never depends on engine reuse.
 	Events uint64
 	// SafetyNet bandwidth-overhead accounting (zero for the buffering
 	// variants): anchor duplicates emitted, total packet sends, and where

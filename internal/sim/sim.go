@@ -9,8 +9,8 @@
 // scheduled through Schedule/At that order is exactly the historical
 // (at, seq) FIFO rule; AtPinned additionally lets a caller place an event
 // at an explicit position inside an instant, so an analytically computed
-// event can land precisely where a classic event-driven chain would have
-// inserted it (see internal/netsim's fused links).
+// event can land precisely where an equivalent event-driven chain would
+// have inserted it (see internal/netsim's links).
 //
 // The hot path is allocation-free in steady state: fired and cancelled
 // events are recycled through a free list, and EventRefs carry a
@@ -199,9 +199,9 @@ type Engine struct {
 	deferred []Handler
 	// Firing context: the full ordering key of the event whose handler is
 	// currently running inside Step. At stamps inserted events with it,
-	// and FiringKey exposes it so analytic fast paths (netsim's fused
-	// links) can resolve equal-instant ties exactly as the event-driven
-	// code would have.
+	// and FiringKey exposes it so analytic transmitters (netsim's links,
+	// wireless's radios) can resolve equal-instant ties exactly as the
+	// event-driven code would have.
 	firing   bool
 	curVins  Time
 	curVins2 Time
@@ -278,9 +278,9 @@ func (e *Engine) At(at Time, fn Handler) EventRef {
 // AtPinned runs fn at the given absolute instant with an explicitly pinned
 // equal-instant position: vins is the instant an equivalent event-driven
 // insertion would have happened at, and (vins2, vseq2) that insertion's
-// context (see eventLess). netsim's fused links and wireless's fused air
-// transmit use it to schedule a delivery at Send time that sorts exactly
-// where the classic txDone-then-deliver chain would have placed it.
+// context (see eventLess). netsim's links and wireless's radios use it to
+// schedule a delivery at Send time at the position an event-driven
+// txDone-then-deliver chain would have given it (DESIGN.md §12).
 // Instants in the past are clamped to the current time, and the pin
 // components are clamped to stay internally consistent (vins <= at,
 // vins2 <= vins).

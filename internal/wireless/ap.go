@@ -58,24 +58,13 @@ type AccessPoint struct {
 	medium *Medium
 	wired  *netsim.Iface
 
-	// fused selects the analytic downlink transmit path; latched at
-	// construction from FusedAir.
-	fused bool
-
-	// Classic two-event downlink transmitter state (WIRELESS_FUSED=0).
-	// txPkt/inflight/txDoneFn/airFn mirror netsim.Iface's zero-alloc
-	// transmit: handlers are pre-bound once and frames propagate through a
-	// FIFO (AirDelay is constant, so arrivals complete in transmission
-	// order). The in-flight FIFO is shared with the fused path.
-	busy     bool
-	queue    fifo[*inet.Packet]
-	txPkt    *inet.Packet
+	// Downlink transmitter (DESIGN.md §13): the analytic clock, the FIFO
+	// of admitted frames awaiting their arrival event (AirDelay is
+	// constant, so arrivals complete in admission order), and the arrival
+	// handler pre-bound once at construction.
+	clock    airClock
 	inflight fifo[*inet.Packet]
-	txDoneFn sim.Handler
 	airFn    sim.Handler
-
-	// Analytic downlink transmit state (DESIGN.md §13).
-	clock airClock
 
 	airDrops uint64
 	// AirDropHook observes packets transmitted while the destination
@@ -89,10 +78,7 @@ type AccessPoint struct {
 
 // NewAccessPoint creates an access point and registers it with the medium.
 func NewAccessPoint(name string, medium *Medium, cfg APConfig) *AccessPoint {
-	// Zero-bandwidth radios always take the classic path (see fused.go).
-	ap := &AccessPoint{name: name, cfg: cfg, engine: medium.engine, medium: medium,
-		fused: FusedAir() && cfg.BandwidthBPS > 0}
-	ap.txDoneFn = ap.txDone
+	ap := &AccessPoint{name: name, cfg: cfg, engine: medium.engine, medium: medium}
 	ap.airFn = ap.airArrive
 	medium.addAP(ap)
 	return ap
@@ -114,23 +100,18 @@ func (ap *AccessPoint) AirDrops() uint64 { return ap.airDrops }
 
 // Sent counts downlink frames fully serialized onto the air.
 func (ap *AccessPoint) Sent() uint64 {
-	if ap.fused {
-		ap.clock.drain(ap.engine)
-	}
+	ap.clock.drain(ap.engine)
 	return ap.clock.sent
 }
 
 // QueueLen returns the number of packets waiting on the downlink behind
 // the frame being serialized.
 func (ap *AccessPoint) QueueLen() int {
-	if ap.fused {
-		ap.clock.drain(ap.engine)
-		if m := ap.clock.occupancy(); m > 0 {
-			return m - 1
-		}
-		return 0
+	ap.clock.drain(ap.engine)
+	if m := ap.clock.occupancy(); m > 0 {
+		return m - 1
 	}
-	return ap.queue.Len()
+	return 0
 }
 
 // AttachIface is invoked by netsim.Connect; it records the wired uplink
@@ -191,65 +172,23 @@ func (ap *AccessPoint) dropAir(pkt *inet.Packet) {
 	}
 }
 
-// transmitDown serializes pkt on the shared downlink.
+// transmitDown admits pkt on the shared downlink: one pre-bound arrival
+// event at the frame's departure plus AirDelay, pinned at the departure's
+// phantom key. The AP never detaches, so no repair machinery is needed
+// (compare Station.nicReset).
 func (ap *AccessPoint) transmitDown(pkt *inet.Packet) {
-	if ap.fused {
-		ap.sendFused(pkt)
-		return
-	}
-	if ap.busy {
-		if ap.queue.Len() >= ap.queueLimit() {
-			ap.dropAir(pkt)
-			return
-		}
-		ap.queue.Push(pkt)
-		return
-	}
-	ap.startTx(pkt)
-}
-
-// sendFused admits a packet on the analytic downlink: one pre-bound
-// delivery event at the instant the classic path's airArrive would fire,
-// pinned at the same virtual key. The AP never detaches, so no repair
-// machinery is needed (compare Station.nicReset).
-func (ap *AccessPoint) sendFused(pkt *inet.Packet) {
 	ap.clock.drain(ap.engine)
 	if m := ap.clock.occupancy(); m > 0 && m-1 >= ap.queueLimit() {
 		ap.dropAir(pkt)
 		return
 	}
 	start, dep, idx := ap.clock.push(ap.engine, pkt.Size, ap.cfg.BandwidthBPS)
-	ent := &ap.clock.ring[idx]
 	ap.inflight.Push(pkt)
-	ent.ref = ap.engine.AtPinned(dep+ap.cfg.AirDelay, dep, start, ent.pseq, ap.airFn)
-}
-
-func (ap *AccessPoint) startTx(pkt *inet.Packet) {
-	ap.busy = true
-	ap.txPkt = pkt
-	var txTime sim.Time
-	if ap.cfg.BandwidthBPS > 0 {
-		txTime = sim.Time(int64(pkt.Size) * 8 * int64(sim.Second) / ap.cfg.BandwidthBPS)
-	}
-	ap.engine.Schedule(txTime, ap.txDoneFn)
-}
-
-// txDone fires when the current frame finishes serializing: it goes on the
-// air and the next queued frame starts transmitting.
-func (ap *AccessPoint) txDone() {
-	ap.clock.sent++
-	ap.inflight.Push(ap.txPkt)
-	ap.txPkt = nil
-	ap.engine.Schedule(ap.cfg.AirDelay, ap.airFn)
-	ap.busy = false
-	if ap.queue.Len() > 0 {
-		ap.startTx(ap.queue.Pop())
-	}
+	ap.engine.AtPinned(dep+ap.cfg.AirDelay, dep, start, ap.clock.ring[idx].pseq, ap.airFn)
 }
 
 // airArrive fires one air delay after the frame departs; the constant
-// delay keeps the in-flight FIFO in arrival order. Both transmit paths
-// share this handler: the fused path pre-binds it per frame via AtPinned.
+// delay keeps the in-flight FIFO in arrival order.
 func (ap *AccessPoint) airArrive() {
 	ap.deliver(ap.inflight.Pop())
 }

@@ -102,25 +102,14 @@ type Station struct {
 
 	addrs map[inet.Addr]bool
 
-	// fused selects the analytic uplink transmit path; latched at
-	// construction from FusedAir.
-	fused bool
-
-	// Classic two-event uplink transmit state (WIRELESS_FUSED=0). The
-	// in-flight FIFO carries the target AP alongside each frame because a
-	// frame stays aimed at the AP it was transmitted toward even if the
-	// station detaches before it lands; it is shared with the fused path.
-	busy     bool
-	queue    fifo[*inet.Packet]
-	txPkt    *inet.Packet
-	txAP     *AccessPoint
-	inflight fifo[airFrame]
-	txDoneFn sim.Handler
-	airFn    sim.Handler
-
-	// Analytic uplink transmit state plus the NIC-reset repair machinery
-	// (see nicReset).
+	// Uplink transmitter (DESIGN.md §13): the analytic clock, the FIFO of
+	// admitted frames awaiting their arrival event — each carrying the AP
+	// it was aimed at, since a frame stays aimed there even if the station
+	// detaches before it lands — the arrival handler, and the NIC-reset
+	// repair state (see nicReset).
 	clock         airClock
+	inflight      fifo[airFrame]
+	airFn         sim.Handler
 	repairPending bool
 	flushAt       sim.Time
 	flushKey      airTxEntry
@@ -157,15 +146,9 @@ func NewStation(name string, medium *Medium, motion Motion, cfg StationConfig) *
 		medium: medium,
 		motion: motion,
 		addrs:  make(map[inet.Addr]bool),
-		// A zero-bandwidth radio serializes instantly, collapsing the whole
-		// classic txDone chain into one instant whose nested scheduling
-		// interleave the analytic path cannot reproduce; such radios always
-		// take the classic path (see fused.go).
-		fused: FusedAir() && cfg.BandwidthBPS > 0,
 	}
-	s.txDoneFn = s.txDone
 	s.airFn = s.airArrive
-	s.flushFn = s.flushCheck
+	s.flushFn = s.settle
 	medium.addStation(s)
 	return s
 }
@@ -194,37 +177,27 @@ func (s *Station) CanReceive() bool { return s.ap != nil && !s.switching }
 // TxDrops counts uplink packets lost because the station was detached or
 // its queue overflowed.
 func (s *Station) TxDrops() uint64 {
-	if s.fused {
-		s.clock.drain(s.engine)
-		s.resolveFlush()
-	}
+	s.settle()
 	return s.txDrops
 }
 
 // Sent counts uplink frames fully serialized onto the air.
 func (s *Station) Sent() uint64 {
-	if s.fused {
-		s.clock.drain(s.engine)
-		s.resolveFlush()
-	}
+	s.settle()
 	return s.clock.sent
 }
 
 // QueueLen returns the number of uplink packets waiting behind the frame
 // being serialized.
 func (s *Station) QueueLen() int {
-	if s.fused {
-		s.clock.drain(s.engine)
-		s.resolveFlush()
-		if s.repairPending {
-			return s.holdQueue.Len()
-		}
-		if m := s.clock.occupancy(); m > 0 {
-			return m - 1
-		}
-		return 0
+	s.settle()
+	if s.repairPending {
+		return s.holdQueue.Len()
 	}
-	return s.queue.Len()
+	if m := s.clock.occupancy(); m > 0 {
+		return m - 1
+	}
+	return 0
 }
 
 // AddAddr registers an address the station accepts (care-of addresses come
@@ -310,33 +283,19 @@ func (s *Station) Send(pkt *inet.Packet) {
 		s.dropTx(pkt)
 		return
 	}
-	if s.fused {
-		s.sendFused(pkt)
-		return
-	}
-	if s.busy {
-		if s.queue.Len() >= s.queueLimit() {
-			s.dropTx(pkt)
-			return
-		}
-		s.queue.Push(pkt)
-		return
-	}
-	s.startTx(pkt)
+	s.admit(pkt)
 }
 
-// sendFused admits a packet on the analytic uplink: one pre-bound delivery
-// event at the instant the classic path's airArrive would fire, pinned at
-// the same virtual key.
-func (s *Station) sendFused(pkt *inet.Packet) {
-	s.clock.drain(s.engine)
-	s.resolveFlush()
+// admit queues pkt on the analytic uplink: one pre-bound arrival event at
+// the frame's departure plus AirDelay, pinned at the departure's phantom
+// key.
+func (s *Station) admit(pkt *inet.Packet) {
+	s.settle()
 	if s.repairPending {
 		// A NIC reset happened while a frame was still serializing and
 		// the station has already re-attached; until that frame departs
-		// (the instant the classic path decides the flush) new packets
-		// wait in the hold queue, which plays the role of the classic
-		// queue here.
+		// (the instant the flush is decided) new packets wait in the hold
+		// queue.
 		if s.holdQueue.Len() >= s.queueLimit() {
 			s.dropTx(pkt)
 			return
@@ -354,21 +313,16 @@ func (s *Station) sendFused(pkt *inet.Packet) {
 	ent.ref = s.engine.AtPinned(dep+s.cfg.AirDelay, dep, start, ent.pseq, s.airFn)
 }
 
-// nicReset repairs the analytic uplink on link-down. Classic semantics: the
-// serializing frame and frames already on the air continue toward the AP
-// they were aimed at, while queued frames wait for the serializing frame's
-// txDone — if the station has re-attached by then they restart toward the
-// new AP, otherwise they are flushed. The analytic path has already
-// scheduled deliveries for those queued frames, so it cancels them, parks
-// the packets in the hold queue, rewinds busyUntil to the serializing
-// frame's departure, and pins a flush-decision event at that frame's
-// phantom txDone key.
+// nicReset applies the NIC reset on link-down. The serializing frame and
+// frames already on the air continue toward the AP they were aimed at;
+// queued frames wait for the serializing frame to depart — if the station
+// has re-attached by then they restart toward the new AP, otherwise they
+// are flushed. Queued frames already have delivery events, so nicReset
+// cancels them, parks the packets in the hold queue, rewinds busyUntil to
+// the serializing frame's departure, and pins a flush-decision event at
+// that departure's phantom key.
 func (s *Station) nicReset() {
-	if !s.fused {
-		return
-	}
-	s.clock.drain(s.engine)
-	s.resolveFlush()
+	s.settle()
 	if s.repairPending {
 		// An earlier reset's flush decision is still due; the ring holds
 		// only the serializing frame, so there is nothing new to repair.
@@ -395,20 +349,21 @@ func (s *Station) nicReset() {
 	s.engine.AtPinned(cur.dep, cur.pvins, cur.pvins2, cur.pvseq2, s.flushFn)
 }
 
-// flushCheck is the pinned flush-decision event scheduled by nicReset; it
-// fires at the serializing frame's phantom txDone so held packets restart
-// (or flush) even if nothing else touches the station.
-func (s *Station) flushCheck() {
+// settle brings the uplink up to date: it retires departed frames and
+// applies a pending NIC-reset flush decision. It is also the pinned
+// flush-decision event scheduled by nicReset, so held packets restart (or
+// flush) even if nothing else touches the station.
+func (s *Station) settle() {
 	s.clock.drain(s.engine)
 	s.resolveFlush()
 }
 
 // resolveFlush applies a pending NIC-reset flush decision once the
-// serializing frame's phantom txDone has passed, exactly when the classic
-// path takes it: if the station can transmit again the held packets
-// restart toward the current AP, otherwise they are flushed. It is also
-// called lazily from reads so same-instant probes between the phantom
-// txDone and the pinned flush event observe the post-decision state.
+// serializing frame has departed (its phantom key precedes the firing
+// event): if the station can transmit again the held packets restart
+// toward the current AP, otherwise they are flushed. It runs lazily from
+// reads too, so same-instant probes between the departure and the pinned
+// flush event observe the post-decision state.
 func (s *Station) resolveFlush() {
 	if !s.repairPending {
 		return
@@ -421,7 +376,7 @@ func (s *Station) resolveFlush() {
 	n := s.holdQueue.Len()
 	if s.CanReceive() {
 		for i := 0; i < n; i++ {
-			s.sendFused(s.holdQueue.Pop())
+			s.admit(s.holdQueue.Pop())
 		}
 		return
 	}
@@ -431,41 +386,9 @@ func (s *Station) resolveFlush() {
 	}
 }
 
-func (s *Station) startTx(pkt *inet.Packet) {
-	s.busy = true
-	s.txPkt = pkt
-	s.txAP = s.ap // frame is in flight toward this AP even if we detach later
-	var txTime sim.Time
-	if s.cfg.BandwidthBPS > 0 {
-		txTime = sim.Time(int64(pkt.Size) * 8 * int64(sim.Second) / s.cfg.BandwidthBPS)
-	}
-	s.engine.Schedule(txTime, s.txDoneFn)
-}
-
-// txDone fires when the current frame finishes serializing: it goes on the
-// air toward the AP it was aimed at and the next queued frame starts.
-func (s *Station) txDone() {
-	s.clock.sent++
-	s.inflight.Push(airFrame{pkt: s.txPkt, ap: s.txAP})
-	s.txPkt, s.txAP = nil, nil
-	s.engine.Schedule(s.cfg.AirDelay, s.airFn)
-	s.busy = false
-	switch {
-	case s.queue.Len() > 0 && s.CanReceive():
-		s.startTx(s.queue.Pop())
-	case s.queue.Len() > 0:
-		// NIC reset on detach: queued frames are lost.
-		n := s.queue.Len()
-		for i := 0; i < n; i++ {
-			s.dropTx(s.queue.Pop())
-		}
-	}
-}
-
 // airArrive fires one air delay after the frame departs (constant delay
 // keeps the FIFO in arrival order). The frame only lands if the station is
-// still in the target AP's coverage when it arrives. Both transmit paths
-// share this handler: the fused path pre-binds it per frame via AtPinned.
+// still in the target AP's coverage when it arrives.
 func (s *Station) airArrive() {
 	f := s.inflight.Pop()
 	if f.ap != nil && f.ap.Covers(s.Pos(s.engine.Now())) {
