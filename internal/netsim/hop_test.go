@@ -73,7 +73,7 @@ func checkConservation(t *testing.T, i *Iface, accepted uint64) {
 		t.Errorf("%v at %v: sent %d + queued %d + in service %d = %d, accepted %d",
 			i, i.engine.Now(), sent, queued, inService, got, accepted)
 	}
-	onWire := uint64(len(i.inflight) - busy)
+	onWire := uint64(i.inflight.len() - busy)
 	if delivered := i.peer.Delivers(); sent != delivered+onWire {
 		t.Errorf("%v at %v: sent %d, peer delivered %d + on the wire %d",
 			i, i.engine.Now(), sent, delivered, onWire)

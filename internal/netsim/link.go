@@ -87,7 +87,7 @@ type Iface struct {
 	// event (the per-direction delay is constant, so deliveries complete
 	// in acceptance order), and deliverFn the handler pre-bound once at
 	// construction so the hot path schedules no fresh closures.
-	inflight  []*inet.Packet
+	inflight  pktFIFO
 	deliverFn sim.Handler
 
 	// xport, when non-nil, marks this direction as crossing a shard
@@ -234,7 +234,7 @@ func (i *Iface) Send(pkt *inet.Packet) {
 		i.xport.park(dep+i.link.cfg.Delay, pkt)
 		return
 	}
-	i.inflight = append(i.inflight, pkt)
+	i.inflight.push(pkt)
 	e.AtPinned(dep+i.link.cfg.Delay, dep, start, ent.pseq, i.deliverFn)
 }
 
@@ -243,12 +243,39 @@ func (i *Iface) Send(pkt *inet.Packet) {
 // guarantees deliveries complete in acceptance order, so the FIFO head is
 // always the arriving packet.
 func (i *Iface) deliver() {
-	pkt := i.inflight[0]
-	copy(i.inflight, i.inflight[1:])
-	i.inflight[len(i.inflight)-1] = nil
-	i.inflight = i.inflight[:len(i.inflight)-1]
+	pkt := i.inflight.pop()
 	i.peer.delivers++
 	i.peer.node.HandlePacket(i.peer, pkt)
+}
+
+// pktFIFO is a packet FIFO with O(1) dequeues: pop advances a head index
+// instead of shifting the slice. Storage is reclaimed the way drainRing
+// reclaims its ring: reset when empty, compacted when the dead prefix
+// dominates, so a FIFO that never empties stays O(backlog).
+type pktFIFO struct {
+	q    []*inet.Packet
+	head int
+}
+
+func (f *pktFIFO) len() int { return len(f.q) - f.head }
+
+func (f *pktFIFO) push(pkt *inet.Packet) { f.q = append(f.q, pkt) }
+
+// pop removes and returns the oldest packet; the FIFO must be non-empty.
+func (f *pktFIFO) pop() *inet.Packet {
+	pkt := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
+	} else if f.head >= 64 && f.head*2 >= len(f.q) {
+		kept := copy(f.q, f.q[f.head:])
+		clear(f.q[kept:])
+		f.q = f.q[:kept]
+		f.head = 0
+	}
+	return pkt
 }
 
 // drainRing retires every pending departure that has happened by now,

@@ -118,7 +118,7 @@ func (x *ShardExchange) Flush() {
 		p.dirty = false
 		for i := range p.outbox {
 			e := &p.outbox[i]
-			p.pending = append(p.pending, e.pkt)
+			p.pending.push(e.pkt)
 			p.recv.At(e.at, p.deliverFn)
 			e.pkt = nil
 		}
@@ -143,7 +143,7 @@ type xPort struct {
 	recv      *sim.Engine
 	dst       *Iface // receiving interface (counts the delivery)
 	outbox    []xEntry
-	pending   []*inet.Packet
+	pending   pktFIFO
 	deliverFn sim.Handler
 	// dirty marks a non-empty outbox. Owned by the sending shard between
 	// barriers (set in park), read and cleared by Flush at the barrier.
@@ -165,10 +165,7 @@ func (p *xPort) park(at sim.Time, pkt *inet.Packet) {
 // deliver fires on the receiving engine at the arrival instant and hands
 // the oldest pending packet to the destination node.
 func (p *xPort) deliver() {
-	pkt := p.pending[0]
-	copy(p.pending, p.pending[1:])
-	p.pending[len(p.pending)-1] = nil
-	p.pending = p.pending[:len(p.pending)-1]
+	pkt := p.pending.pop()
 	p.dst.delivers++
 	p.dst.node.HandlePacket(p.dst, pkt)
 }

@@ -55,6 +55,61 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerMetroMix holds the queue mix a 2,000-host metro cell
+// (seed 1) keeps pending, about 5,200 queued entries of which about 4,300
+// are live, and fires one event per operation:
+//   - 2,000 far-future binding-refresh timers, re-armed 5–15 s out;
+//   - 1,060 tickers with a 20 ms period;
+//   - 1,060 one-shot stops 1–5 s out, each replaced when it fires;
+//   - 178 of the tickers reset a 120 ms guard timer on every tick, which
+//     keeps about 890 cancelled entries queued;
+//   - every tick sends a short hop 0–1.5 ms out, a few dozen in flight.
+func BenchmarkSchedulerMetroMix(b *testing.B) {
+	const (
+		refreshes = 2000
+		tickers   = 1060
+		stops     = 1060
+		guarded   = 178
+		period    = 20 * Millisecond
+	)
+	e := NewEngine()
+	rng := NewRNG(1)
+	hop := func() {}
+	var refresh, stop Handler
+	refresh = func() { e.Schedule(rng.Uniform(5*Second, 15*Second), refresh) }
+	stop = func() { e.Schedule(rng.Uniform(Second, 5*Second), stop) }
+	for i := 0; i < refreshes; i++ {
+		e.Schedule(rng.Jitter(15*Second), refresh)
+	}
+	for i := 0; i < stops; i++ {
+		e.Schedule(rng.Uniform(Second, 5*Second), stop)
+	}
+	for i := 0; i < tickers; i++ {
+		var guard *Timer
+		if i < guarded {
+			guard = NewTimer(e, hop)
+		}
+		var tick Handler
+		tick = func() {
+			e.Schedule(period, tick)
+			e.Schedule(rng.Jitter(1500*Microsecond), hop)
+			if guard != nil {
+				guard.Reset(6 * period)
+			}
+		}
+		e.Schedule(rng.Jitter(period), tick)
+	}
+	// Let the guard timers fill their cancelled backlog.
+	if err := e.Run(10 * period); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 // BenchmarkRetransmissionCancel models the signaling retransmission-timer
 // pattern: batches of timers armed together of which 90% are cancelled
 // before firing (the exchange succeeded), exercising the lazy-delete

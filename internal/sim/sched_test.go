@@ -41,6 +41,21 @@ type refCheck struct {
 
 func newRefCheck(t *testing.T) *refCheck { return &refCheck{t: t, e: NewEngine()} }
 
+// checkQueue asserts the heap's own invariants: every entry carries its
+// event's instant, and no entry sorts before its parent.
+func (c *refCheck) checkQueue() {
+	c.t.Helper()
+	es := c.e.queue.es
+	for i, x := range es {
+		if x.at != x.ev.at {
+			c.t.Fatalf("heap entry %d has instant %v, its event %v", i, x.at, x.ev.at)
+		}
+		if i > 0 && x.less(es[(i-1)/4]) {
+			c.t.Fatalf("heap entry %d sorts before its parent", i)
+		}
+	}
+}
+
 func (c *refCheck) add(ev *refEvent) {
 	ev.seq = c.seq
 	c.seq++
@@ -59,6 +74,7 @@ func (c *refCheck) at(at Time) *refEvent {
 		ev.vins2, ev.vseq2 = c.now, ev.seq
 	}
 	ev.ref = c.e.At(at, func() { c.fire(ev) })
+	c.checkQueue()
 	return ev
 }
 
@@ -69,11 +85,13 @@ func (c *refCheck) pinned(at, vins, vins2 Time, vseq2 uint64) *refEvent {
 	ev.vins2 = min(vins2, ev.vins)
 	c.add(ev)
 	ev.ref = c.e.AtPinned(at, vins, vins2, vseq2, func() { c.fire(ev) })
+	c.checkQueue()
 	return ev
 }
 
 func (c *refCheck) cancel(ev *refEvent) {
 	c.e.Cancel(ev.ref)
+	c.checkQueue()
 	if ev.fired || ev.cancelled {
 		return // a late Cancel is a no-op
 	}
@@ -87,6 +105,7 @@ func (c *refCheck) cancel(ev *refEvent) {
 }
 
 func (c *refCheck) fire(ev *refEvent) {
+	c.checkQueue()
 	sort.SliceStable(c.pending, func(i, j int) bool {
 		a, b := c.pending[i], c.pending[j]
 		if a.at != b.at {
@@ -127,6 +146,7 @@ func (c *refCheck) run(until Time) {
 	if err := c.e.Run(until); err != nil {
 		c.t.Fatal(err)
 	}
+	c.checkQueue()
 	for _, ev := range c.pending {
 		if ev.at <= until {
 			c.t.Fatalf("%v still pending after Run(%v)", ev, until)
@@ -241,6 +261,46 @@ func TestSchedulersAgree(t *testing.T) {
 		}
 	})
 
+	t.Run("ties", func(t *testing.T) {
+		// Every event on one of three instants, so most child groups tie
+		// and sift on the full key. Queue sizes 1–64 cover every residue
+		// mod 4: full groups of four and partial last groups.
+		instants := [3]Time{10, 20, 30}
+		for n := 1; n <= 64; n++ {
+			for trial := 0; trial < 4; trial++ {
+				rng := rand.New(rand.NewSource(int64(100*n + trial)))
+				c := newRefCheck(t)
+				schedule := func() *refEvent {
+					at := instants[rng.Intn(3)]
+					if rng.Intn(3) > 0 {
+						return c.at(at)
+					}
+					vins := instants[rng.Intn(3)]
+					return c.pinned(at, vins, vins-Time(rng.Intn(2))*10, uint64(rng.Int63n(int64(c.seq)+1)))
+				}
+				var evs []*refEvent
+				for i := 0; i < n; i++ {
+					evs = append(evs, schedule())
+				}
+				for _, ev := range evs {
+					if rng.Intn(4) == 0 {
+						c.cancel(ev)
+					}
+				}
+				c.onFire = func(*refEvent) {
+					if c.seq < uint64(3*n) && rng.Intn(2) == 0 {
+						schedule()
+					}
+					if len(c.pending) > 0 && rng.Intn(4) == 0 {
+						c.cancel(c.pending[rng.Intn(len(c.pending))])
+					}
+				}
+				c.run(instants[0])
+				c.run(MaxTime)
+			}
+		}
+	})
+
 	t.Run("earlier-push", func(t *testing.T) {
 		// Events pushed below a minimum the engine already peeked at.
 		c := newRefCheck(t)
@@ -292,6 +352,61 @@ func TestSchedulersAgreeOnline(t *testing.T) {
 		}
 		c.run(MaxTime)
 	}
+}
+
+// FuzzSchedulerOrder drives the heap and the brute-force reference with
+// operations decoded from the input, on instants drawn from a small set so
+// that ties are the rule. Each operation is two bytes, an opcode and an
+// argument:
+//   - At an instant, clamped to the clock when past;
+//   - AtPinned with a position drawn from the same set;
+//   - Cancel of a pending event;
+//   - At an instant of an event whose handler schedules up to three more;
+//   - Run to a horizon from the set.
+//
+// The input ends with a drain.
+func FuzzSchedulerOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 1, 0, 0})
+	f.Add([]byte{3, 0xff, 3, 0x10, 1, 0x21, 2, 7, 4, 2, 0, 0, 3, 0x33})
+	f.Add([]byte{1, 0x12, 1, 0x34, 1, 0x56, 0, 4, 2, 0, 2, 1, 4, 3, 3, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		instants := [4]Time{0, 1, 2, 1000}
+		c := newRefCheck(t)
+		children := map[*refEvent]byte{}
+		c.onFire = func(ev *refEvent) {
+			arg, ok := children[ev]
+			if !ok {
+				return
+			}
+			for k := arg >> 6; k > 0; k-- {
+				c.at(c.now + instants[arg>>(2*k)&3])
+			}
+		}
+		arg := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		for i := 0; i < len(data) && i < 1024; i += 2 {
+			op, a := data[i], arg(i+1)
+			switch op % 5 {
+			case 0:
+				c.at(instants[a&3])
+			case 1:
+				c.pinned(instants[a&3], instants[a>>2&3], instants[a>>4&3], uint64(a>>6))
+			case 2:
+				if len(c.pending) > 0 {
+					c.cancel(c.pending[int(a)%len(c.pending)])
+				}
+			case 3:
+				children[c.at(instants[a&3])] = a
+			case 4:
+				c.run(instants[a&3])
+			}
+		}
+		c.run(MaxTime)
+	})
 }
 
 // TestEventRefGenerationSafety is the satellite coverage for stale refs:

@@ -5,7 +5,10 @@
 // scheduled (stable FIFO tie-break), which makes every simulation in this
 // repository reproducible bit-for-bit.
 //
-// The queue is an inlined 4-ary min-heap ordered by eventLess. For events
+// The queue is an inlined 4-ary min-heap ordered by eventLess. Each slot
+// carries a copy of its event's instant, and a sift picks the smallest of
+// four children with conditional moves instead of branches, consulting
+// the full key only when instants tie (see heap.go). For events
 // scheduled through Schedule/At that order is exactly the historical
 // (at, seq) FIFO rule; AtPinned additionally lets a caller place an event
 // at an explicit position inside an instant, so an analytically computed
