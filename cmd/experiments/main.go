@@ -55,16 +55,21 @@ func run(args []string, stdout io.Writer) error {
 	rootSeed := fs.Int64("seed", 1, "root seed; per-replica seeds are derived from it")
 	jsonOut := fs.String("json", "", "write the replica run's result document to this file ('-': stdout)")
 	specList := fs.String("spec", defaultSpecs, "comma-separated runner specs for -replicas (see -list)")
-	shards := fs.Int("shards", 0, "shard count for the city scenario (0: fixed default; results depend on the shard count, never on workers)")
-	workers := fs.Int("workers", 0, "goroutines running city shards (0: GOMAXPROCS; any value yields byte-identical results)")
+	shards := fs.Int("shards", 0, "shard count for -fig city and -spec city (0: 8 and 4; results depend on the shard count, never on workers)")
+	workers := fs.Int("workers", 0, "goroutines running city shards (0: GOMAXPROCS for -fig city, 2 for -spec city; any value yields byte-identical results)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scenario.SetDefaultCityShards(*shards)
-	scenario.SetDefaultCityWorkers(*workers)
+	if *shards < 0 {
+		return fmt.Errorf("-shards must not be negative (got %d)", *shards)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must not be negative (got %d)", *workers)
+	}
+	city := scenario.CityParams{Shards: *shards, Workers: *workers}
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {
 		return err
@@ -89,7 +94,11 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 	if *replicas > 0 {
-		return runReplicas(stdout, *specList, *replicas, *parallel, *rootSeed, *jsonOut)
+		specs, err := selectSpecs(*specList, city)
+		if err != nil {
+			return err
+		}
+		return runReplicas(stdout, specs, *replicas, *parallel, *rootSeed, *jsonOut)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -98,6 +107,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	exps := scenario.Experiments()
+	for i := range exps {
+		if exps[i].ID == "city" {
+			exps[i].Run = func() scenario.Renderer { return scenario.RunCity(city) }
+		}
+	}
 	if *list {
 		fmt.Fprintln(stdout, "figures (-fig):")
 		for _, exp := range exps {
@@ -151,9 +165,9 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runReplicas fans the selected specs across the worker pool and reports
-// aggregated distributions, optionally as a JSON artifact.
-func runReplicas(stdout io.Writer, specList string, replicas, parallel int, rootSeed int64, jsonOut string) error {
+// selectSpecs resolves a comma-separated spec list. The city spec is built
+// from city, which carries the -shards/-workers choices.
+func selectSpecs(specList string, city scenario.CityParams) ([]runner.Spec, error) {
 	var specs []runner.Spec
 	for _, name := range strings.Split(specList, ",") {
 		name = strings.TrimSpace(name)
@@ -162,14 +176,22 @@ func runReplicas(stdout io.Writer, specList string, replicas, parallel int, root
 		}
 		spec, err := scenario.SpecByName(name)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		if name == "city" {
+			spec = scenario.CitySpec(city)
 		}
 		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
-		return fmt.Errorf("no specs selected")
+		return nil, fmt.Errorf("no specs selected")
 	}
+	return specs, nil
+}
 
+// runReplicas fans the specs across the worker pool and reports aggregated
+// distributions, optionally as a JSON artifact.
+func runReplicas(stdout io.Writer, specs []runner.Spec, replicas, parallel int, rootSeed int64, jsonOut string) error {
 	pool := runner.NewPool(parallel)
 	doc := runner.NewDocument("experiments", rootSeed, replicas, pool.Workers())
 	start := time.Now()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 func TestListFlag(t *testing.T) {
@@ -177,5 +179,58 @@ func TestWorkersAndEpochModeFlagsPreserveArtifacts(t *testing.T) {
 	got := artifact(filepath.Join(dir, "w3.json"), "-workers", "3")
 	if !bytes.Equal(ref, got) {
 		t.Fatalf("artifacts diverge across -workers:\n%s\nvs\n%s", ref, got)
+	}
+}
+
+func TestShardsFlagReachesCitySpec(t *testing.T) {
+	// -shards must reach the city spec on the runner path: the spec runs on
+	// the requested partition (its description names the shard count; the
+	// default stays 4) and the replica's metrics equal a direct CitySpec
+	// run on that shard count. The spec-scale city's metrics happen not to
+	// depend on the partition, so only the description tells 2 from 4.
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{{0, "on 4 shards"}, {2, "on 2 shards"}} {
+		specs, err := selectSpecs("baseline, city", scenario.CityParams{Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := specs[1].(interface{ Describe() string }).Describe(); !strings.Contains(d, tc.want) {
+			t.Errorf("-shards %d: city spec %q, want %q", tc.shards, d, tc.want)
+		}
+	}
+	if testing.Short() {
+		t.Skip("scenario runs are slow")
+	}
+	path := filepath.Join(t.TempDir(), "s2.json")
+	if err := run([]string{"-spec", "city", "-replicas", "1", "-shards", "2", "-json", path}, io.Discard); err != nil {
+		t.Fatalf("run -shards 2: %v", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := runner.DecodeDocument(f)
+	if err != nil {
+		t.Fatalf("artifact does not parse: %v", err)
+	}
+	rep := doc.Results[0].Replicas[0]
+	want, err := scenario.CitySpec(scenario.CityParams{Shards: 2}).Run(rep.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rep.Metrics) != fmt.Sprint(want) {
+		t.Fatalf("-shards 2 metrics:\n%v\nwant CitySpec(Shards: 2):\n%v", rep.Metrics, want)
+	}
+}
+
+func TestNegativeShardsAndWorkersRejected(t *testing.T) {
+	for _, flag := range []string{"-shards", "-workers"} {
+		err := run([]string{flag, "-1", "-fig", "4.9"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), flag+" must not be negative") {
+			t.Errorf("%s -1: err = %v, want a must-not-be-negative error", flag, err)
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // A link created through ShardExchange.Connect joins nodes whose engines
 // belong to different shards of a sim.ShardGroup: during an epoch each
 // direction buffers accepted packets, stamped with their arrival instants,
-// in an outbox private to the sending shard, and Flush — installed as the
-// group's exchange callback — migrates them into the receiving engines at
-// the barrier.
+// in an outbox private to the sending shard, and Flush migrates them into
+// the receiving engines at the barrier. It is the sim.Exchange a
+// ShardGroup over the partition installs with SetExchange.
 //
 // Flush runs single-threaded over ports in creation order, so the sequence
 // numbers the receiving engines assign to arrival events are a pure
@@ -51,10 +51,9 @@ func (x *ShardExchange) Lookahead() sim.Time { return x.minDelay }
 // cross-shard link).
 func (x *ShardExchange) Ports() int { return len(x.ports) }
 
-// Pending reports whether any outbox currently holds parked traffic.
-// Install it as the group's pending oracle (ShardGroup.SetExchangePending):
-// it is safe to call from the one shard running in a solo round, and after
-// a Flush it reads false until the next transmission is parked.
+// Pending reports whether any outbox currently holds parked traffic. It is
+// safe to call from the one shard running in a solo round, and after a
+// Flush it reads false until the next transmission is parked.
 func (x *ShardExchange) Pending() bool { return x.dirtyPorts.Load() != 0 }
 
 // Flushes returns how many barrier flushes migrated at least one packet;
@@ -100,8 +99,8 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 }
 
 // Flush migrates every outbox entry buffered since the previous barrier
-// into the receiving engines. It must run with all shards parked (install
-// it via ShardGroup.SetExchange); it is the only code that touches both
+// into the receiving engines. It must run with all shards parked (the
+// ShardGroup calls it between rounds); it is the only code that touches both
 // sides of a port. Steady state is allocation-free: outboxes, pending
 // FIFOs, and the receiving engines' event slots are all recycled.
 func (x *ShardExchange) Flush() {

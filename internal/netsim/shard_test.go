@@ -38,7 +38,7 @@ func crossPair(sharded bool, cfg LinkConfig, sends []sim.Time) (run func() error
 		return func() error { return ea.RunAll() }, arrivals
 	}
 	g := sim.NewShardGroup([]*sim.Engine{ea, eb}, x.Lookahead(), 2)
-	g.SetExchange(x.Flush)
+	g.SetExchange(x)
 	return g.RunAll, arrivals
 }
 
@@ -87,7 +87,7 @@ func TestCrossShardDuplexAndCounters(t *testing.T) {
 		b.Send(&inet.Packet{Src: b.Addr(), Dst: a.Addr(), Proto: inet.ProtoUDP, Size: 100})
 	})
 	g := sim.NewShardGroup([]*sim.Engine{ea, eb}, x.Lookahead(), 2)
-	g.SetExchange(x.Flush)
+	g.SetExchange(x)
 	if err := g.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkShardMailbox(b *testing.B) {
 	dst := NewHost("dst", inet.Addr{Net: 2, Host: 1})
 	x.Connect(ea, eb, src, dst, LinkConfig{Delay: sim.Millisecond})
 	g := sim.NewShardGroup([]*sim.Engine{ea, eb}, x.Lookahead(), 1)
-	g.SetExchange(x.Flush)
+	g.SetExchange(x)
 
 	pkt := &inet.Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: inet.ProtoUDP, Size: 160}
 	delivered := 0

@@ -47,28 +47,17 @@ const (
 // run each shard cityCrossDelay of virtual time per epoch.
 const cityCrossDelay = 5 * sim.Millisecond
 
-// DefaultCityShards is the shard count used when CityParams.Shards is
+// defaultCityShards is the shard count used when CityParams.Shards is
 // zero. It is a fixed constant rather than the machine's core count so the
-// published tables are byte-identical everywhere; `experiments -shards`
-// overrides it.
-var DefaultCityShards = 8
-
-// DefaultCityWorkers, when positive, is the worker count used when
-// CityParams.Workers is zero (`experiments -workers` sets it). Zero means
-// "derive from the machine": GOMAXPROCS for the figure path, a small fixed
-// count for runner specs (whose replicas already run concurrently).
-var DefaultCityWorkers = 0
+// published tables are byte-identical everywhere.
+const defaultCityShards = 8
 
 // cityWorkers resolves the worker count for a sharded city run — the one
 // defaulting path shared by applyDefaults and CitySpec. An explicit request
-// wins, then the process-wide default (the -workers flag), then fallback;
-// the result is clamped to [1, shards] since more workers than shards can
-// never help.
+// wins, then fallback; the result is clamped to [1, shards] since more
+// workers than shards can never help.
 func cityWorkers(requested, shards, fallback int) int {
 	w := requested
-	if w <= 0 {
-		w = DefaultCityWorkers
-	}
 	if w <= 0 {
 		w = fallback
 	}
@@ -94,11 +83,11 @@ type CityParams struct {
 	// simulate the identical city.
 	MAPs int
 	// Shards is the partition size (engines run in parallel). Zero selects
-	// DefaultCityShards. Results depend on the shard count (same-instant
+	// 8 (4 for CitySpec). Results depend on the shard count (same-instant
 	// tie-breaks differ across partitions) but never on Workers.
 	Shards int
 	// Workers bounds the goroutines running shards. Zero selects
-	// DefaultCityWorkers, then GOMAXPROCS. Any worker count produces
+	// GOMAXPROCS (2 for CitySpec). Any worker count produces
 	// byte-identical results.
 	Workers int
 	// FixedEpochs reverts the shard group to fixed-width epochs (the
@@ -142,7 +131,7 @@ func (p *CityParams) applyDefaults() {
 		p.MAPs = p.Domains
 	}
 	if p.Shards <= 0 {
-		p.Shards = DefaultCityShards
+		p.Shards = defaultCityShards
 	}
 	p.Workers = cityWorkers(p.Workers, p.Shards, runtime.GOMAXPROCS(0))
 	if p.Scheme == 0 {
@@ -333,8 +322,7 @@ func newCity(p CityParams) *city {
 		lookahead = cityCrossDelay // single shard: no cross links exist
 	}
 	c.group = sim.NewShardGroup(engines, lookahead, p.Workers)
-	c.group.SetExchange(c.exchange.Flush)
-	c.group.SetExchangePending(c.exchange.Pending)
+	c.group.SetExchange(c.exchange)
 	if p.FixedEpochs {
 		c.group.SetAdaptive(false)
 	}
@@ -879,21 +867,4 @@ func CitySpec(p CityParams) runner.Spec {
 			}
 			return m
 		}}
-}
-
-// SetDefaultCityShards overrides the fixed default shard count (the
-// experiments command's -shards flag). Zero or negative keeps the default.
-func SetDefaultCityShards(n int) {
-	if n > 0 {
-		DefaultCityShards = n
-	}
-}
-
-// SetDefaultCityWorkers overrides the default worker count (the experiments
-// command's -workers flag). Zero or negative keeps the machine-derived
-// default.
-func SetDefaultCityWorkers(n int) {
-	if n > 0 {
-		DefaultCityWorkers = n
-	}
 }

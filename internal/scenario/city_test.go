@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -372,27 +373,27 @@ func TestSpecsIdenticalAcrossEpochModes(t *testing.T) {
 
 func TestCityWorkersDefaulting(t *testing.T) {
 	// Both defaulting paths (applyDefaults and CitySpec) resolve through
-	// cityWorkers: explicit > process default > fallback, clamped to the
-	// shard count.
-	defer SetDefaultCityWorkers(0)
-	DefaultCityWorkers = 0
+	// cityWorkers: explicit > fallback, clamped to the shard count.
 	if got := cityWorkers(3, 8, 5); got != 3 {
 		t.Fatalf("explicit request = %d, want 3", got)
 	}
 	if got := cityWorkers(0, 8, 5); got != 5 {
 		t.Fatalf("fallback = %d, want 5", got)
 	}
-	SetDefaultCityWorkers(6)
-	if got := cityWorkers(0, 8, 5); got != 6 {
-		t.Fatalf("process default = %d, want 6", got)
-	}
 	if got := cityWorkers(0, 2, 5); got != 2 {
 		t.Fatalf("shard clamp = %d, want 2", got)
 	}
-	DefaultCityWorkers = 0
+	if got := cityWorkers(0, 8, 0); got != 1 {
+		t.Fatalf("floor = %d, want 1", got)
+	}
 	p := CityParams{Shards: 4, Workers: 16}
 	p.applyDefaults()
 	if p.Workers != 4 {
 		t.Fatalf("applyDefaults workers = %d, want clamp to 4 shards", p.Workers)
+	}
+	var d CityParams
+	d.applyDefaults()
+	if want := min(runtime.GOMAXPROCS(0), defaultCityShards); d.Shards != defaultCityShards || d.Workers != want {
+		t.Fatalf("zero params: shards/workers = %d/%d, want %d/%d", d.Shards, d.Workers, defaultCityShards, want)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // the minimum delay of any link whose endpoints live on different shards).
 //
 // Each round the group computes a safe horizon per shard and runs the
-// shards that have work inside it; between rounds the exchange callback
-// runs single-threaded to move buffered cross-shard traffic into the
-// receiving engines' queues. In the default adaptive mode the horizons are
+// shards that have work inside it; between rounds the Exchange flushes,
+// single-threaded, to move buffered cross-shard traffic into the receiving
+// engines' queues. In the default adaptive mode the horizons are
 // widened beyond the classic fixed T+lookahead-1 epoch wherever causality
 // allows (see adaptiveRound), shards with no event inside the horizon are
 // never dispatched, and a round with a single live shard runs inline on the
@@ -33,15 +33,9 @@ type ShardGroup struct {
 	lookahead Time
 	workers   int
 	adaptive  bool
-	// exchange flushes cross-shard traffic buffered during the last round
-	// into the receiving engines. It runs single-threaded, with every
-	// engine parked at the barrier.
-	exchange func()
-	// pending reports whether any cross-shard traffic is currently parked
-	// in an outbox (see SetExchangePending). Optional; enables the widest
-	// solo-round horizons. It must be safe to call from the goroutine of
-	// the one shard running in a solo round.
-	pending func() bool
+	// exchange moves cross-shard traffic between rounds; nil when the
+	// shards are independent.
+	exchange Exchange
 
 	// Scratch state reused across rounds so the loop stays allocation-free.
 	// live/ends are written by the coordinator before a round is published
@@ -108,18 +102,24 @@ func NewShardGroup(engines []*Engine, lookahead Time, workers int) *ShardGroup {
 	}
 }
 
-// SetExchange installs the barrier callback that migrates buffered
-// cross-shard traffic. It must be set before Run when any two shards are
-// connected; a nil exchange is valid for fully independent shards.
-func (g *ShardGroup) SetExchange(fn func()) { g.exchange = fn }
+// Exchange carries the cross-shard traffic of a ShardGroup
+// (netsim.ShardExchange is the production one). Sends made during a round
+// are parked, stamped with arrival instants at least the group's lookahead
+// after the send, until the next Flush.
+type Exchange interface {
+	// Flush moves every parked send into its receiving engine. It runs
+	// single-threaded with every engine parked between rounds, and drains
+	// completely: Pending reads false afterwards until the next send.
+	Flush()
+	// Pending reports whether any send is parked. It is called from the
+	// goroutine of the one shard running in a solo round.
+	Pending() bool
+}
 
-// SetExchangePending installs an oracle reporting whether any cross-shard
-// traffic is parked in an outbox right now (netsim.ShardExchange.Pending).
-// It is optional: without it solo rounds fall back to the same conservative
-// horizon a barrier round would grant. The oracle must agree with the
-// exchange — after the exchange callback runs, pending must be false until
-// the next send is parked.
-func (g *ShardGroup) SetExchangePending(fn func() bool) { g.pending = fn }
+// SetExchange installs the group's cross-shard exchange. It must be set
+// before Run when any two shards are connected; nil means the shards are
+// independent.
+func (g *ShardGroup) SetExchange(x Exchange) { g.exchange = x }
 
 // SetAdaptive toggles adaptive mode (the default). When off, the group
 // reverts to the classic fixed-width protocol: every round dispatches every
@@ -172,10 +172,10 @@ func (g *ShardGroup) Run(until Time) error {
 		return nil
 	}
 	if len(g.engines) == 1 {
-		// Single shard: plain serial execution. The exchange still runs so
-		// a degenerate one-shard partition with registered ports behaves.
+		// Single shard: plain serial execution. The exchange still flushes
+		// so a degenerate one-shard partition with registered ports behaves.
 		if g.exchange != nil {
-			g.exchange()
+			g.exchange.Flush()
 		}
 		return g.engines[0].Run(until)
 	}
@@ -199,7 +199,7 @@ func (g *ShardGroup) Run(until Time) error {
 
 	for {
 		if g.exchange != nil {
-			g.exchange()
+			g.exchange.Flush()
 		}
 		t1, t2, i1 := g.scanNext()
 		if i1 < 0 || t1 > until {
@@ -307,6 +307,14 @@ func (g *ShardGroup) adaptiveRound(until, t1, t2 Time, i1 int) {
 			g.live = append(g.live, i)
 		}
 	}
+	g.stats.Rounds++
+	g.stats.ElidedDispatches += uint64(len(g.engines) - len(g.live))
+	if len(g.live) == 1 {
+		g.stats.SoloRounds++
+		g.stats.Dispatches++
+		g.errs[i1] = g.soloRun(i1, until, t2)
+		return
+	}
 	h := addClamp(t1, g.lookahead)
 	if t2 < h {
 		h = t2
@@ -314,15 +322,6 @@ func (g *ShardGroup) adaptiveRound(until, t1, t2 Time, i1 int) {
 	endLeader := addClamp(h, g.lookahead-1)
 	if endLeader > until {
 		endLeader = until
-	}
-
-	g.stats.Rounds++
-	g.stats.ElidedDispatches += uint64(len(g.engines) - len(g.live))
-	if len(g.live) == 1 {
-		g.stats.SoloRounds++
-		g.stats.Dispatches++
-		g.errs[i1] = g.soloRun(i1, until, t2, endLeader)
-		return
 	}
 	for _, i := range g.live {
 		g.ends[i] = endOther
@@ -336,36 +335,24 @@ func (g *ShardGroup) adaptiveRound(until, t1, t2 Time, i1 int) {
 // soloRun advances the only live shard of a round, inline, with no barrier.
 //
 // With no exchange installed the shards are fully independent and the shard
-// runs to the caller's horizon. With an exchange but no pending oracle it
-// gets the conservative horizon a barrier round would grant it. With an
-// oracle it starts from the optimistic bound t2+L-1 — no other shard can
-// act before t2, so nothing can arrive here before t2+L — and tightens to
-// now+2L-1 the moment the shard's first cross-shard send is parked: a send
-// at instant s can be relayed back no earlier than s+2L. This is what
-// collapses a long quiet stretch (events on one shard only, no traffic in
-// flight) into a single round.
-func (g *ShardGroup) soloRun(idx int, until, t2, conservative Time) error {
+// runs to the caller's horizon. Otherwise it starts from the optimistic
+// bound t2+L-1 — no other shard can act before t2, and the flush that
+// opened the round left nothing parked, so nothing can arrive here before
+// t2+L — and tightens to now+2L-1 the moment the shard's first cross-shard
+// send is parked: a send at instant s can be relayed back no earlier than
+// s+2L. This is what collapses a long quiet stretch (events on one shard
+// only, no traffic in flight) into a single round.
+func (g *ShardGroup) soloRun(idx int, until, t2 Time) error {
 	e := g.engines[idx]
 	if g.exchange == nil {
 		return e.Run(until)
-	}
-	if g.pending == nil {
-		return e.Run(conservative)
 	}
 	target := addClamp(t2, g.lookahead-1)
 	if target > until {
 		target = until
 	}
 	watching := true
-	if g.pending() {
-		// A custom exchange left traffic parked across its flush; fall back
-		// to the conservative horizon (netsim.ShardExchange always drains).
-		watching = false
-		if conservative < target {
-			target = conservative
-		}
-	}
-	// Mirror Engine.Run exactly, plus the per-event oracle probe while
+	// Mirror Engine.Run exactly, plus the per-event Pending probe while
 	// watching (one atomic load; dropped after the first hit).
 	for {
 		if e.stopped {
@@ -381,7 +368,7 @@ func (g *ShardGroup) soloRun(idx int, until, t2, conservative Time) error {
 			return nil
 		}
 		e.Step()
-		if watching && g.pending() {
+		if watching && g.exchange.Pending() {
 			watching = false
 			if t := addClamp(addClamp(e.now, g.lookahead), g.lookahead-1); t < target {
 				target = t

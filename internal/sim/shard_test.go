@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -95,37 +96,26 @@ func TestShardGroupExchangeRespectsLookahead(t *testing.T) {
 	// deliver every message at exactly its arrival instant.
 	const lookahead = Time(10)
 	a, b := NewEngine(), NewEngine()
-
-	type msg struct {
-		at Time
-	}
-	var outbox []msg
+	x := newTestExchange(t, 2)
 	var arrivals []Time
 
 	var emit func()
 	emit = func() {
-		outbox = append(outbox, msg{at: a.Now() + lookahead})
+		at := a.Now() + lookahead
+		x.send(0, b, at, func() {
+			if b.Now() != at {
+				t.Errorf("arrival fired at %v, want %v", b.Now(), at)
+			}
+			arrivals = append(arrivals, b.Now())
+		})
 		if a.Now() < 200 {
 			a.Schedule(10, emit)
 		}
 	}
 	a.At(0, emit)
 
-	exchange := func() {
-		for _, m := range outbox {
-			at := m.at
-			b.At(at, func() {
-				if b.Now() != at {
-					t.Errorf("arrival fired at %v, want %v", b.Now(), at)
-				}
-				arrivals = append(arrivals, b.Now())
-			})
-		}
-		outbox = outbox[:0]
-	}
-
 	g := NewShardGroup([]*Engine{a, b}, lookahead, 2)
-	g.SetExchange(exchange)
+	g.SetExchange(x)
 	if err := g.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -197,9 +187,12 @@ func TestShardGroupSingleShardIsSerial(t *testing.T) {
 
 // testExchange is a minimal cross-shard mailbox mirroring the structure of
 // netsim.ShardExchange: per-sender outboxes parked mid-round, a shared
-// atomic dirty counter as the pending oracle, and an ordered
-// single-threaded flush at the barrier.
+// atomic dirty counter behind Pending, and an ordered single-threaded
+// Flush at the barrier. Flush also checks causality: an arrival must lie
+// strictly after the receiving engine's clock, since Engine.At would
+// otherwise clamp it to the present and hide a horizon that ran too far.
 type testExchange struct {
+	tb      testing.TB
 	boxes   [][]testMsg
 	dirty   []bool
 	pending atomic.Int64
@@ -211,8 +204,8 @@ type testMsg struct {
 	fn Handler
 }
 
-func newTestExchange(shards int) *testExchange {
-	return &testExchange{boxes: make([][]testMsg, shards), dirty: make([]bool, shards)}
+func newTestExchange(tb testing.TB, shards int) *testExchange {
+	return &testExchange{tb: tb, boxes: make([][]testMsg, shards), dirty: make([]bool, shards)}
 }
 
 // send parks a message from the given shard. It runs on the sending
@@ -226,7 +219,7 @@ func (x *testExchange) send(from int, to *Engine, at Time, fn Handler) {
 	x.boxes[from] = append(x.boxes[from], testMsg{to: to, at: at, fn: fn})
 }
 
-func (x *testExchange) flush() {
+func (x *testExchange) Flush() {
 	if x.pending.Load() == 0 {
 		return
 	}
@@ -237,6 +230,9 @@ func (x *testExchange) flush() {
 		}
 		x.dirty[i] = false
 		for _, m := range x.boxes[i] {
+			if m.at <= m.to.Now() {
+				x.tb.Errorf("arrival %d behind receiver clock %d", m.at, m.to.Now())
+			}
 			m.to.At(m.at, m.fn)
 		}
 		x.boxes[i] = x.boxes[i][:0]
@@ -247,14 +243,15 @@ func (x *testExchange) Pending() bool { return x.pending.Load() != 0 }
 
 // relayRun drives a 3-shard ping→relay→pong chain with a busy-then-idle
 // background shard: shard 0 pings shard 1 every 100 units, shard 1 relays
-// each ping to shard 2 (the bounce that bounds solo-round widening), and
-// shard 2 ticks densely early on, then goes quiet. Returns the per-shard
-// traces and the group's stats.
-func relayRun(t *testing.T, adaptive, oracle bool, workers int) ([][]string, ShardStats) {
+// each ping to shard 2 and bounces an echo back to shard 0 (the bounce
+// that bounds solo-round widening: it reaches the pinger 2L after its
+// send), and shard 2 ticks densely early on, then goes quiet. Returns the
+// per-shard traces and the group's stats.
+func relayRun(t *testing.T, adaptive bool, workers int) ([][]string, ShardStats) {
 	t.Helper()
 	const L = Time(10)
 	engines := []*Engine{NewEngine(), NewEngine(), NewEngine()}
-	x := newTestExchange(3)
+	x := newTestExchange(t, 3)
 	traces := make([][]string, 3)
 	rec := func(i int, tag string) {
 		traces[i] = append(traces[i], fmt.Sprintf("%d@%s", engines[i].Now(), tag))
@@ -265,6 +262,7 @@ func relayRun(t *testing.T, adaptive, oracle bool, workers int) ([][]string, Sha
 		x.send(0, engines[1], engines[0].Now()+L, func() {
 			rec(1, "relay")
 			x.send(1, engines[2], engines[1].Now()+L, func() { rec(2, "pong") })
+			x.send(1, engines[0], engines[1].Now()+L, func() { rec(0, "echo") })
 		})
 		if engines[0].Now() < 1000 {
 			engines[0].Schedule(100, ping)
@@ -274,38 +272,33 @@ func relayRun(t *testing.T, adaptive, oracle bool, workers int) ([][]string, Sha
 	tickTrace(engines[2], "bg", 7, 60, &traces[2])
 
 	g := NewShardGroup(engines, L, workers)
-	g.SetExchange(x.flush)
-	if oracle {
-		g.SetExchangePending(x.Pending)
-	}
+	g.SetExchange(x)
 	g.SetAdaptive(adaptive)
 	if err := g.Run(2000); err != nil {
-		t.Fatalf("Run(adaptive=%t oracle=%t workers=%d): %v", adaptive, oracle, workers, err)
+		t.Fatalf("Run(adaptive=%t workers=%d): %v", adaptive, workers, err)
 	}
 	return traces, g.Stats()
 }
 
 func TestShardGroupAdaptiveMatchesFixed(t *testing.T) {
-	// The differential golden at the sim level: the adaptive protocol — with
-	// and without the pending oracle, at every worker count — must produce
-	// the identical per-shard traces as the fixed-width protocol.
-	refTraces, refStats := relayRun(t, false, false, 1)
+	// The differential golden at the sim level: the adaptive protocol, at
+	// every worker count, must produce the identical per-shard traces as
+	// the fixed-width protocol.
+	refTraces, refStats := relayRun(t, false, 1)
 	if n := len(refTraces[2]); n == 0 {
 		t.Fatal("no pongs reached shard 2")
 	}
 	var adaptiveStats ShardStats
-	for _, oracle := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 3} {
-			got, stats := relayRun(t, true, oracle, workers)
-			for i := range refTraces {
-				if fmt.Sprint(got[i]) != fmt.Sprint(refTraces[i]) {
-					t.Fatalf("oracle=%t workers=%d shard %d diverged:\n got %v\nwant %v",
-						oracle, workers, i, got[i], refTraces[i])
-				}
+	for _, workers := range []int{1, 2, 3} {
+		got, stats := relayRun(t, true, workers)
+		for i := range refTraces {
+			if fmt.Sprint(got[i]) != fmt.Sprint(refTraces[i]) {
+				t.Fatalf("workers=%d shard %d diverged:\n got %v\nwant %v",
+					workers, i, got[i], refTraces[i])
 			}
-			if oracle && workers == 1 {
-				adaptiveStats = stats
-			}
+		}
+		if workers == 1 {
+			adaptiveStats = stats
 		}
 	}
 	// The whole point: the sparse phase collapses. Fewer synchronized
@@ -322,9 +315,9 @@ func TestShardGroupAdaptiveMatchesFixed(t *testing.T) {
 }
 
 func TestShardGroupStatsWorkerIndependent(t *testing.T) {
-	_, ref := relayRun(t, true, true, 1)
+	_, ref := relayRun(t, true, 1)
 	for _, workers := range []int{2, 3} {
-		if _, got := relayRun(t, true, true, workers); got != ref {
+		if _, got := relayRun(t, true, workers); got != ref {
 			t.Fatalf("stats diverged between 1 and %d workers:\n got %+v\nwant %+v", workers, got, ref)
 		}
 	}
@@ -332,37 +325,47 @@ func TestShardGroupStatsWorkerIndependent(t *testing.T) {
 
 func TestShardGroupSoloWideningTightensOnSend(t *testing.T) {
 	// Shard 0 fires dense local events 0..100 and parks one cross send at
-	// instant 50 (arrival 60 on shard 1, which is otherwise empty). With the
-	// oracle the first round is solo and initially unbounded (no foreign
-	// event exists), so the tightening on the parked send is the only thing
-	// keeping the arrival timely.
+	// instant 50 (arrival 60 on shard 1, which is otherwise empty); shard 1
+	// bounces it straight back (arrival 70 on shard 0, s+2L). The first
+	// round is solo and initially unbounded (no foreign event exists), so
+	// the tightening on the parked send is the only thing that stops shard
+	// 0 before the bounce returns.
 	const L = Time(10)
 	a, b := NewEngine(), NewEngine()
-	x := newTestExchange(2)
+	x := newTestExchange(t, 2)
+	returned := false
 	for i := Time(0); i <= 100; i++ {
 		at := i
 		a.At(at, func() {
 			if at == 50 {
 				x.send(0, b, a.Now()+L, func() {
 					if b.Now() != 60 {
-						t.Errorf("arrival fired at %v, want 60", b.Now())
+						t.Errorf("arrival fired at %d, want 60", b.Now())
 					}
+					x.send(1, a, b.Now()+L, func() {
+						returned = true
+						if a.Now() != 70 {
+							t.Errorf("bounce returned at %d, want 70", a.Now())
+						}
+					})
 				})
 			}
 		})
 	}
 	g := NewShardGroup([]*Engine{a, b}, L, 1)
-	g.SetExchange(x.flush)
-	g.SetExchangePending(x.Pending)
+	g.SetExchange(x)
 	if err := g.Run(200); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if !returned {
+		t.Fatal("the bounce never returned to shard 0")
 	}
 	stats := g.Stats()
 	if stats.SoloRounds == 0 {
 		t.Fatalf("stats %+v: expected solo rounds", stats)
 	}
 	// 101 dense events under fixed L=10 epochs would cost ~11 rounds; the
-	// adaptive run needs only a handful (solo to 69, deliver, resume).
+	// adaptive run needs only a handful (solo to 69, relay, resume).
 	if stats.Rounds > 6 {
 		t.Fatalf("adaptive run used %d rounds for a workload fixed mode covers in ~11", stats.Rounds)
 	}
@@ -371,15 +374,112 @@ func TestShardGroupSoloWideningTightensOnSend(t *testing.T) {
 	}
 }
 
+// fuzzRelayRun replays a byte-coded schedule on n shards and returns the
+// per-shard traces. Each 3-byte op (kind, route, instant) starts one leg
+// at instant 4*op[2]: kind%4 selects a local burst of 1..16 consecutive
+// events, a ping s→d, a relay s→d→e or a bounce s→d→s; the route byte
+// picks the shards, and its top two bits add 0..3 to every hop's delay
+// beyond the lookahead.
+func fuzzRelayRun(t *testing.T, n int, ops []byte, adaptive bool, workers int) [][]string {
+	const L = Time(10)
+	engines := make([]*Engine, n)
+	for i := range engines {
+		engines[i] = NewEngine()
+	}
+	x := newTestExchange(t, n)
+	traces := make([][]string, n)
+	// hop fires step k of a leg on shard path[k] and sends it on.
+	var hop func(leg, k int, path []int, at, delay Time)
+	hop = func(leg, k int, path []int, at, delay Time) {
+		s := path[k]
+		e := engines[s]
+		if e.Now() != at {
+			t.Errorf("leg %d step %d fired at %d, want %d", leg, k, e.Now(), at)
+		}
+		traces[s] = append(traces[s], fmt.Sprintf("%d@%d.%d", at, leg, k))
+		if k+1 < len(path) {
+			next := at + delay
+			x.send(s, engines[path[k+1]], next, func() { hop(leg, k+1, path, next, delay) })
+		}
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		leg, kind, r, at := i/3, ops[i]%4, int(ops[i+1]), 4*Time(ops[i+2])
+		src := r % n
+		dst := (src + 1 + r/4%(n-1)) % n
+		path := []int{src}
+		switch kind {
+		case 1:
+			path = append(path, dst)
+		case 2:
+			path = append(path, dst, (dst+1+r/16%(n-1))%n)
+		case 3:
+			path = append(path, dst, src)
+		}
+		burst := Time(1)
+		if kind == 0 {
+			burst += Time(r >> 4)
+		}
+		delay := L + Time(r>>6)
+		for j := Time(0); j < burst; j++ {
+			at := at + j
+			engines[src].At(at, func() { hop(leg, 0, path, at, delay) })
+		}
+	}
+	g := NewShardGroup(engines, L, workers)
+	g.SetExchange(x)
+	g.SetAdaptive(adaptive)
+	if err := g.RunAll(); err != nil {
+		t.Fatalf("RunAll(adaptive=%t workers=%d): %v", adaptive, workers, err)
+	}
+	return traces
+}
+
+// FuzzShardGroupRelay checks the epoch protocols on random 2–4-shard
+// ping/relay/bounce schedules: each protocol's traces are identical at one
+// and two workers, every arrival is causal (the exchange's check), and the
+// adaptive protocol fires exactly the fixed one's events. Across protocols
+// the traces are compared per shard as sorted multisets: two arrivals for
+// the same instant may be flushed in different rounds, so their
+// equal-instant order legitimately differs between protocols.
+func FuzzShardGroupRelay(f *testing.F) {
+	f.Add(uint8(0), []byte{3, 0, 5, 0, 0x40, 0, 1, 1, 9})
+	f.Add(uint8(1), []byte{2, 0x17, 0, 3, 0xc2, 2, 0, 0xf1, 1, 1, 0x05, 30})
+	f.Add(uint8(2), []byte{3, 0x26, 10, 2, 0x9b, 11, 0, 0x33, 12, 1, 0x0c, 40, 3, 0x61, 41})
+	f.Fuzz(func(t *testing.T, shards uint8, ops []byte) {
+		n := 2 + int(shards%3)
+		if len(ops) > 96 {
+			ops = ops[:96]
+		}
+		sorted := func(traces [][]string) string {
+			for _, tr := range traces {
+				slices.Sort(tr)
+			}
+			return fmt.Sprint(traces)
+		}
+		var ref string
+		for _, adaptive := range []bool{false, true} {
+			one := fmt.Sprint(fuzzRelayRun(t, n, ops, adaptive, 1))
+			two := fuzzRelayRun(t, n, ops, adaptive, 2)
+			if fmt.Sprint(two) != one {
+				t.Fatalf("adaptive=%t: traces differ between 1 and 2 workers:\n%v\nvs\n%s", adaptive, two, one)
+			}
+			if got := sorted(two); ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Fatalf("adaptive traces differ from fixed:\n%s\nvs\n%s", got, ref)
+			}
+		}
+	})
+}
+
 func TestShardGroupStopInSoloRound(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
-	x := newTestExchange(2)
+	x := newTestExchange(t, 2)
 	fired := 0
 	a.At(1, func() { a.Stop() })
 	a.At(50, func() { fired++ })
 	g := NewShardGroup([]*Engine{a, b}, 10, 1)
-	g.SetExchange(x.flush)
-	g.SetExchangePending(x.Pending)
+	g.SetExchange(x)
 	if err := g.Run(100); err != ErrStopped {
 		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
@@ -428,7 +528,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				const L = Time(10)
 				engines := []*Engine{NewEngine(), NewEngine(), NewEngine(), NewEngine()}
-				x := newTestExchange(len(engines))
+				x := newTestExchange(b, len(engines))
 				// Each shard ticks every 997 units (mutually offset), and
 				// every 16th tick sends to the next shard: quiet stretches
 				// dominated by local work, punctuated by rare cross traffic.
@@ -450,8 +550,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 					e.At(Time(s)*211, tick)
 				}
 				g := NewShardGroup(engines, L, 1)
-				g.SetExchange(x.flush)
-				g.SetExchangePending(x.Pending)
+				g.SetExchange(x)
 				g.SetAdaptive(adaptive)
 				if err := g.RunAll(); err != nil {
 					b.Fatal(err)

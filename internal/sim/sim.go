@@ -21,6 +21,10 @@
 // occupant. Work that must wait until a handler (and every hook it calls)
 // is done, such as returning dead packets to a pool, goes through Defer
 // instead of a zero-delay event.
+//
+// ShardGroup runs several engines side by side under a conservative epoch
+// protocol, one engine per shard of a partitioned model; an Exchange
+// installed with SetExchange moves cross-shard traffic between rounds.
 package sim
 
 import (
@@ -63,8 +67,8 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 type Handler func()
 
 // event is a single queue entry. Events are recycled through the engine's
-// free list; gen counts the recycles so stale EventRefs can detect that
-// their event is gone (and look its fate up in the fate shift register).
+// free list; gen counts the recycles so a stale EventRef can detect that
+// its event is gone.
 type event struct {
 	at  Time
 	seq uint64 // insertion order, breaks ties deterministically
@@ -80,10 +84,8 @@ type event struct {
 	vseq2 uint64
 	fn    Handler
 	gen   uint64 // incremented every time the slot is recycled
-	// fate remembers how past occupants of this slot ended: bit k holds 1
-	// if generation gen-1-k fired (0 if it was cancelled). It lets a ref
-	// up to 64 recycles stale still report its own event's outcome.
-	fate   uint64
+	// fired marks the event whose handler is running, so a handler that
+	// cancels its own event is a no-op; cancel marks a lazily deleted one.
 	fired  bool
 	cancel bool
 }
@@ -120,55 +122,10 @@ func eventLess(a, b *event) bool {
 }
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
-// value is valid and reports neither fired nor cancelled.
+// value is valid; cancelling it is a no-op.
 type EventRef struct {
 	ev  *event
 	gen uint64
-}
-
-// fateBits is how many completed generations a slot's fate register holds.
-const fateBits = 64
-
-// Cancelled reports whether the event was cancelled before firing. The
-// contract: exactly one of "fired" and "cancelled" eventually holds for
-// every scheduled event. An event that already ran reports false even if
-// Cancel was called on it afterwards (the late Cancel is a no-op), so
-// Cancelled never claims that work which actually happened was prevented.
-//
-// The report stays correct even after the event's slot has been recycled
-// and rescheduled (up to 64 recycles back); a ref staler than that
-// conservatively reports not-cancelled.
-func (r EventRef) Cancelled() bool {
-	ev := r.ev
-	if ev == nil {
-		return false
-	}
-	if ev.gen == r.gen {
-		return ev.cancel
-	}
-	if age := ev.gen - r.gen; age <= fateBits {
-		return ev.fate>>(age-1)&1 == 0
-	}
-	return false
-}
-
-// Fired reports whether the event's handler has run, with the same
-// staleness guarantees as Cancelled.
-func (r EventRef) Fired() bool {
-	ev := r.ev
-	if ev == nil {
-		return false
-	}
-	if ev.gen == r.gen {
-		return ev.fired
-	}
-	if age := ev.gen - r.gen; age <= fateBits {
-		return ev.fate>>(age-1)&1 == 1
-	}
-	// Fate memory exhausted: the event certainly completed, and events
-	// overwhelmingly complete by firing (cancellations are explicit, so
-	// their owner already knows). Report the likely outcome.
-	return true
 }
 
 // ErrStopped is returned by Run when Stop was called before the horizon.
@@ -241,15 +198,9 @@ func (e *Engine) alloc() *event {
 	return &block[0]
 }
 
-// recycle retires an event slot: its outcome is pushed into the fate shift
-// register, the generation advances (invalidating extant refs), and the
-// slot returns to the free list.
+// recycle retires an event slot: the generation advances (invalidating
+// extant refs) and the slot returns to the free list.
 func (e *Engine) recycle(ev *event) {
-	var bit uint64
-	if ev.fired {
-		bit = 1
-	}
-	ev.fate = ev.fate<<1 | bit
 	ev.gen++
 	ev.fn = nil
 	ev.fired = false
@@ -328,10 +279,11 @@ func (e *Engine) FiringKey() (vins, vins2 Time, vseq2, seq uint64, firing bool) 
 func (e *Engine) NextSeq() uint64 { return e.seq }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op: a fired event stays
-// "fired", not "cancelled" (see EventRef.Cancelled). The queue slot is
-// deleted lazily: it is marked and skipped on pop, and bulk-compacted once
-// cancelled events dominate the queue, so Cancel itself is O(1).
+// already fired, is firing now, or was already cancelled is a no-op, and so
+// is cancelling through a stale ref whose slot now holds another event.
+// The queue slot is deleted lazily: it is marked and skipped on pop, and
+// bulk-compacted once cancelled events dominate the queue, so Cancel
+// itself is O(1).
 func (e *Engine) Cancel(ref EventRef) {
 	ev := ref.ev
 	if ev == nil || ev.gen != ref.gen || ev.fired || ev.cancel {
@@ -460,9 +412,9 @@ func (e *Engine) NextAt() (Time, bool) {
 // Reset returns the engine to its initial state — clock at zero, empty
 // queue and Defer list, sequence counter rewound — while keeping the
 // event free list and queue capacity, so a worker can run many
-// simulation replicas without re-paying allocation warm-up. Events still queued are recycled as
-// cancelled; refs into the previous run become stale and report their own
-// event's fate per the EventRef contract. Because the sequence counter
+// simulation replicas without re-paying allocation warm-up. Events still
+// queued are recycled unfired; refs into the previous run become stale, so
+// cancelling through them is a no-op. Because the sequence counter
 // restarts at zero, a reset engine schedules events in exactly the order a
 // fresh engine would: replica results are identical either way.
 func (e *Engine) Reset() {

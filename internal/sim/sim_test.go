@@ -162,14 +162,14 @@ func TestCancelPreventsFiring(t *testing.T) {
 	fired := false
 	ref := e.Schedule(Second, func() { fired = true })
 	e.Cancel(ref)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Cancel, want 0", e.Pending())
+	}
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ref.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if fired || e.Processed() != 0 {
+		t.Fatalf("cancelled event fired (fired=%t processed=%d)", fired, e.Processed())
 	}
 }
 
@@ -198,42 +198,41 @@ func TestCancelAfterFireReportsFiredNotCancelled(t *testing.T) {
 	if !fired {
 		t.Fatal("event did not fire")
 	}
-	if !ref.Fired() {
-		t.Fatal("Fired() = false after the event ran")
-	}
-	// A late Cancel is a no-op: exactly one of fired/cancelled holds.
+	// A late Cancel is a no-op: it neither disturbs the live count nor
+	// reaches the event that reuses the fired one's slot.
+	next := false
+	e.Schedule(Second, func() { next = true })
 	e.Cancel(ref)
-	if ref.Cancelled() {
-		t.Fatal("Cancelled() = true for an event that already fired")
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after a late Cancel, want 1", e.Pending())
 	}
-	if !ref.Fired() {
-		t.Fatal("late Cancel cleared Fired()")
+	if err := e.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if !next || e.Processed() != 2 {
+		t.Fatalf("late Cancel reached the next event (fired=%t processed=%d)", next, e.Processed())
 	}
 }
 
 func TestEventCancellingItselfStaysFired(t *testing.T) {
 	e := NewEngine()
+	later := false
 	var ref EventRef
 	ref = e.Schedule(Second, func() {
-		// A handler cancelling its own (currently firing) event must not
-		// flip it to cancelled.
+		// A handler cancelling its own (currently firing) event is a
+		// no-op: the live count must not drop a second time.
+		e.Schedule(Second, func() { later = true })
 		e.Cancel(ref)
+		if e.Pending() != 1 {
+			t.Errorf("Pending = %d after self-cancel, want 1", e.Pending())
+		}
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	if ref.Cancelled() {
-		t.Fatal("self-cancel marked a firing event as cancelled")
-	}
-	if !ref.Fired() {
-		t.Fatal("self-cancelled event not marked fired")
-	}
-}
-
-func TestZeroEventRefIsNeitherFiredNorCancelled(t *testing.T) {
-	var ref EventRef
-	if ref.Cancelled() || ref.Fired() {
-		t.Fatal("zero EventRef claims a state")
+	if !later || e.Processed() != 2 || e.Pending() != 0 {
+		t.Fatalf("after self-cancel: later=%t processed=%d pending=%d, want true/2/0",
+			later, e.Processed(), e.Pending())
 	}
 }
 
