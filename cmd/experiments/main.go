@@ -119,6 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "\nrunner specs (-spec, with -replicas):")
 		for _, spec := range scenario.Specs() {
+			spec = withCity(spec, city)
 			if d, ok := spec.(interface{ Describe() string }); ok && d.Describe() != "" {
 				fmt.Fprintf(stdout, "  %-11s %s\n", spec.Name(), d.Describe())
 				continue
@@ -165,8 +166,8 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// selectSpecs resolves a comma-separated spec list. The city spec is built
-// from city, which carries the -shards/-workers choices.
+// selectSpecs resolves a comma-separated spec list, with the city spec
+// built from city (withCity).
 func selectSpecs(specList string, city scenario.CityParams) ([]runner.Spec, error) {
 	var specs []runner.Spec
 	for _, name := range strings.Split(specList, ",") {
@@ -178,15 +179,21 @@ func selectSpecs(specList string, city scenario.CityParams) ([]runner.Spec, erro
 		if err != nil {
 			return nil, err
 		}
-		if name == "city" {
-			spec = scenario.CitySpec(city)
-		}
-		specs = append(specs, spec)
+		specs = append(specs, withCity(spec, city))
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("no specs selected")
 	}
 	return specs, nil
+}
+
+// withCity returns spec, or, for the city spec, the one built from city,
+// which carries the -shards/-workers choices.
+func withCity(spec runner.Spec, city scenario.CityParams) runner.Spec {
+	if spec.Name() == "city" {
+		return scenario.CitySpec(city)
+	}
+	return spec
 }
 
 // runReplicas fans the specs across the worker pool and reports aggregated

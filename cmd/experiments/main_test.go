@@ -26,6 +26,29 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
+// TestListDescribesCitySpecFromFlags checks that -list describes the city
+// spec the runner path would build: -shards reaches its description.
+func TestListDescribesCitySpecFromFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{{nil, "on 4 shards"}, {[]string{"-shards", "2"}, "on 2 shards"}} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-list"}, tc.args...), &out); err != nil {
+			t.Fatalf("run -list %v: %v", tc.args, err)
+		}
+		var line string
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(l), "city ") && strings.Contains(l, "shards") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, tc.want) {
+			t.Errorf("-list %v: city spec line %q, want %q", tc.args, line, tc.want)
+		}
+	}
+}
+
 func TestUnknownFigure(t *testing.T) {
 	err := run([]string{"-fig", "9.9"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {

@@ -223,7 +223,9 @@ type MobileHost struct {
 	buPending bool
 	buTries   int
 
-	heardAPs map[string]*wireless.AccessPoint
+	// heardAPs holds each access point the host has heard a beacon from,
+	// one per name, newest last (see noteHeard).
+	heardAPs []*wireless.AccessPoint
 
 	handoffs []HandoffRecord
 
@@ -257,12 +259,11 @@ func NewMobileHost(engine *sim.Engine, station *wireless.Station,
 	rcoa, mapAddr inet.Addr, cfg MHConfig) *MobileHost {
 	cfg.applyDefaults()
 	mh := &MobileHost{
-		engine:   engine,
-		station:  station,
-		cfg:      cfg,
-		rcoa:     rcoa,
-		mapAddr:  mapAddr,
-		heardAPs: make(map[string]*wireless.AccessPoint),
+		engine:  engine,
+		station: station,
+		cfg:     cfg,
+		rcoa:    rcoa,
+		mapAddr: mapAddr,
 	}
 	station.OnRA = mh.handleRA
 	station.OnPacket = mh.handlePacket
@@ -313,6 +314,37 @@ func (mh *MobileHost) Attach(ap *wireless.AccessPoint, arAddr inet.Addr, arNet i
 
 // --- movement detection ---
 
+// noteHeard records the access point of a beacon, for network-initiated
+// handovers that name their target (heardAP). A beacon from an AP already
+// on the list costs a pointer scan from the newest entry, where the APs in
+// range sit; a new AP replaces a heard one of the same name, so the last
+// heard wins.
+func (mh *MobileHost) noteHeard(ap *wireless.AccessPoint) {
+	for i := len(mh.heardAPs) - 1; i >= 0; i-- {
+		if mh.heardAPs[i] == ap {
+			return
+		}
+	}
+	name := ap.Name()
+	for i, h := range mh.heardAPs {
+		if h.Name() == name {
+			mh.heardAPs[i] = ap
+			return
+		}
+	}
+	mh.heardAPs = append(mh.heardAPs, ap)
+}
+
+// heardAP returns the last heard access point with the given name, or nil.
+func (mh *MobileHost) heardAP(name string) *wireless.AccessPoint {
+	for _, ap := range mh.heardAPs {
+		if ap.Name() == name {
+			return ap
+		}
+	}
+	return nil
+}
+
 // handleRA implements the L2 source trigger: hearing a beacon from a
 // different access point while in the overlap area starts an anticipated
 // handover toward it. A holdoff after each attachment keeps the old AP's
@@ -321,7 +353,7 @@ func (mh *MobileHost) Attach(ap *wireless.AccessPoint, arAddr inet.Addr, arNet i
 // missed), the host falls back to an unanticipated link switch.
 func (mh *MobileHost) handleRA(adv wireless.Advertisement) {
 	if adv.AP != nil {
-		mh.heardAPs[adv.AP.Name()] = adv.AP
+		mh.noteHeard(adv.AP)
 	}
 	if mh.state != mhIdle || adv.AP == nil {
 		return
@@ -709,8 +741,8 @@ func (mh *MobileHost) handlePrRtAdv(msg *fho.PrRtAdv) {
 	if mh.state == mhIdle && msg.TargetAP != "" && !msg.NCoA.IsUnspecified() {
 		// Unsolicited advertisement: a network-initiated handover. Accept
 		// it if the named access point has been heard recently.
-		ap, ok := mh.heardAPs[msg.TargetAP]
-		if !ok {
+		ap := mh.heardAP(msg.TargetAP)
+		if ap == nil {
 			return
 		}
 		mh.state = mhSoliciting // fall through to the common path below

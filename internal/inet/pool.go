@@ -6,8 +6,10 @@ package inet
 // allocation-free.
 //
 // A PacketPool is not safe for concurrent use: like the simulation engine
-// it belongs to the single event-loop goroutine (each topology owns its
-// own pool, so parallel replicas never share one).
+// it belongs to the single event-loop goroutine. A topology that runs
+// alone owns its pool, so parallel replicas never share one; the shards
+// of a partitioned run each own one and trade free packets only through
+// Rebalance at the barrier.
 //
 // Ownership discipline: a packet may be put back only by its single owner
 // once no other component can reach it — in this simulator, the final
@@ -69,3 +71,47 @@ func (pl *PacketPool) Len() int { return len(pl.free) }
 func (pl *PacketPool) Stats() PoolStats {
 	return PoolStats{Gets: pl.gets, Fresh: pl.fresh, Puts: pl.puts, Len: len(pl.free)}
 }
+
+// Rebalance moves free packets from pools that hold more than they ever
+// allocated to pools that hold fewer. A pool's surplus, Len − Fresh, is
+// its Puts − Gets plus the packets Rebalance moved into it minus those it
+// moved out: positive on a sink, where more packets die than are born,
+// negative on a source. The walk takes sinks and sources in pool order:
+// the first sink feeds the first source until one of them is settled,
+// each source up to its deficit. A sink never gives more than it holds,
+// since its surplus is part of its free list. Transfers count in neither
+// Gets nor Puts, so Σ(Gets − Puts) is still the number of packets out.
+// Σ(Len − Fresh) is minus that number, so afterwards no pool keeps a
+// surplus. A deficit left unmet waits for a later call: sources and sinks
+// need not be busy between the same two calls.
+//
+// Rebalance costs O(len(pools) + packets moved) and returns the number
+// moved. It is not safe for concurrent use: call it only while nothing
+// else can touch any of the pools.
+func Rebalance(pools []*PacketPool) int {
+	moved, next := 0, 0
+	for _, from := range pools {
+		give := from.surplus()
+		for give > 0 {
+			for next < len(pools) && pools[next].surplus() >= 0 {
+				next++
+			}
+			if next == len(pools) {
+				return moved
+			}
+			to := pools[next]
+			n := min(give, -to.surplus())
+			k := len(from.free) - n
+			to.free = append(to.free, from.free[k:]...)
+			clear(from.free[k:])
+			from.free = from.free[:k]
+			give -= n
+			moved += n
+		}
+	}
+	return moved
+}
+
+// surplus returns how many more free packets the pool holds than it ever
+// allocated (negative when it holds fewer).
+func (pl *PacketPool) surplus() int { return len(pl.free) - int(pl.fresh) }

@@ -20,8 +20,18 @@ import (
 // numbers the receiving engines assign to arrival events are a pure
 // function of the partition, never of worker scheduling: sharded runs are
 // deterministic for a fixed shard count.
+//
+// The exchange also owns one packet pool per shard. A packet may be born
+// on one shard and die on another (a tunnel wrapper taken at the anchor is
+// stripped in the domain), so each Flush first rebalances the pools
+// (inet.Rebalance): the free packets that piled up where packets die go
+// back to the shards where packets are born.
 type ShardExchange struct {
 	ports []*xPort
+	// engines and pools are the shards in shard order; pools[i] belongs to
+	// engines[i].
+	engines []*sim.Engine
+	pools   []*inet.PacketPool
 	// minDelay is the smallest one-way delay over all cross-shard links,
 	// which is exactly the lookahead a ShardGroup over this partition may
 	// use. Zero while no cross-shard link exists.
@@ -39,8 +49,37 @@ type ShardExchange struct {
 	elidedFlushes uint64
 }
 
-// NewShardExchange returns an empty exchange.
-func NewShardExchange() *ShardExchange { return &ShardExchange{} }
+// NewShardExchange returns an exchange with no links over the given shard
+// engines, creating one packet pool per engine in shard order.
+func NewShardExchange(engines ...*sim.Engine) *ShardExchange {
+	x := &ShardExchange{engines: engines, pools: make([]*inet.PacketPool, len(engines))}
+	for i := range x.pools {
+		x.pools[i] = new(inet.PacketPool)
+	}
+	return x
+}
+
+// Pool returns the packet pool of the shard that engine drives: the pool
+// every topology on that shard should be built on (NewTopologyWithPool).
+// It panics if engine is not one of the exchange's shards.
+func (x *ShardExchange) Pool(engine *sim.Engine) *inet.PacketPool {
+	for i, e := range x.engines {
+		if e == engine {
+			return x.pools[i]
+		}
+	}
+	panic("netsim: ShardExchange.Pool for an engine outside the partition")
+}
+
+// PoolStats returns each shard pool's traffic, in shard order. The sum of
+// Gets-Puts is the number of pooled packets out in the partition.
+func (x *ShardExchange) PoolStats() []inet.PoolStats {
+	out := make([]inet.PoolStats, len(x.pools))
+	for i, pl := range x.pools {
+		out[i] = pl.Stats()
+	}
+	return out
+}
 
 // Lookahead returns the minimum one-way delay over all cross-shard links
 // registered so far (0 if none): the widest epoch a ShardGroup over this
@@ -98,12 +137,14 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	return l.attach()
 }
 
-// Flush migrates every outbox entry buffered since the previous barrier
-// into the receiving engines. It must run with all shards parked (the
-// ShardGroup calls it between rounds); it is the only code that touches both
-// sides of a port. Steady state is allocation-free: outboxes, pending
-// FIFOs, and the receiving engines' event slots are all recycled.
+// Flush rebalances the shard pools, then migrates every outbox entry
+// buffered since the previous barrier into the receiving engines. It must
+// run with all shards parked (the ShardGroup calls it between rounds); it
+// is the only code that touches both sides of a port, or more than one
+// shard's pool. Steady state is allocation-free: outboxes, pending FIFOs,
+// and the receiving engines' event slots are all recycled.
 func (x *ShardExchange) Flush() {
+	inet.Rebalance(x.pools)
 	if x.dirtyPorts.Load() == 0 {
 		x.elidedFlushes++
 		return

@@ -190,3 +190,55 @@ func BenchmarkShardMailbox(b *testing.B) {
 		b.Fatalf("delivered %d, want %d", delivered, b.N+1)
 	}
 }
+
+// TestShardExchangeRebalancesPools sends a stream of pooled packets across
+// a cross-shard link. They are born in the sender's shard pool and die in
+// the receiver's; without the barrier's rebalance the sender would
+// allocate every packet fresh while the receiver's free list grew.
+func TestShardExchangeRebalancesPools(t *testing.T) {
+	ea, eb := sim.NewEngine(), sim.NewEngine()
+	x := NewShardExchange(ea, eb)
+	ta := NewTopologyWithPool(ea, x.Pool(ea))
+	tb := NewTopologyWithPool(eb, x.Pool(eb))
+	a := NewHost("a", inet.Addr{Net: 1, Host: 1})
+	b := NewHost("b", inet.Addr{Net: 2, Host: 1})
+	x.Connect(ea, eb, a, b, LinkConfig{Delay: sim.Millisecond})
+	b.Receive = tb.ReleasePacket
+
+	const sends = 1000
+	for i := 0; i < sends; i++ {
+		ea.At(sim.Time(i)*100*sim.Microsecond, func() {
+			pkt := ta.AllocPacket()
+			*pkt = inet.Packet{Src: a.Addr(), Dst: b.Addr(), Proto: inet.ProtoUDP, Size: 100}
+			a.Send(pkt)
+		})
+	}
+	g := sim.NewShardGroup([]*sim.Engine{ea, eb}, x.Lookahead(), 2)
+	g.SetExchange(x)
+	if err := g.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	st := x.PoolStats()
+	if len(st) != 2 || st[0] != ta.PoolStats() || st[1] != tb.PoolStats() {
+		t.Fatalf("PoolStats %v does not match the topologies' %v/%v", st, ta.PoolStats(), tb.PoolStats())
+	}
+	if st[0].Gets != sends || st[1].Puts != sends || st[0].Puts != 0 || st[1].Gets != 0 {
+		t.Fatalf("pool traffic %v, want %d Gets on the sender and %d Puts on the receiver", st, sends, sends)
+	}
+	// About 1 ms of packets is in flight at a barrier; allow a few epochs.
+	if st[0].Fresh > sends/10 {
+		t.Fatalf("sender allocated %d of %d packets fresh", st[0].Fresh, sends)
+	}
+	if free := st[0].Len + st[1].Len; uint64(free) != st[0].Fresh {
+		t.Fatalf("%d packets free after the drain, want all %d allocated", free, st[0].Fresh)
+	}
+}
+
+func TestShardExchangePoolOutsidePartitionPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pool for a foreign engine did not panic")
+		}
+	}()
+	NewShardExchange(sim.NewEngine()).Pool(sim.NewEngine())
+}

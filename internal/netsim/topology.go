@@ -22,32 +22,46 @@ type Topology struct {
 	// Packet recycling: dead packets are parked in the graveyard and only
 	// returned to the pool once the releasing handler has returned (an
 	// engine Defer), so observers chained later in the releasing event
-	// (tracing hooks, recorders) still read intact fields.
-	pool      inet.PacketPool
+	// (tracing hooks, recorders) still read intact fields. The pool is the
+	// topology's own unless it was built on a shared one.
+	pool      *inet.PacketPool
 	graveyard []*inet.Packet
 	reapFn    sim.Handler
 	reapArmed bool
 }
 
-// NewTopology creates an empty topology bound to an engine.
+// NewTopology creates an empty topology bound to an engine, with a packet
+// pool of its own.
 func NewTopology(engine *sim.Engine) *Topology {
+	return NewTopologyWithPool(engine, new(inet.PacketPool))
+}
+
+// NewTopologyWithPool creates an empty topology bound to an engine whose
+// packets come from, and return to, the given pool. Topologies that share
+// a pool must run on the same engine goroutine; the shards of a partition
+// each get theirs from ShardExchange.Pool.
+func NewTopologyWithPool(engine *sim.Engine, pool *inet.PacketPool) *Topology {
 	if engine == nil {
 		panic("netsim: NewTopology with nil engine")
+	}
+	if pool == nil {
+		panic("netsim: NewTopologyWithPool with nil pool")
 	}
 	t := &Topology{
 		engine: engine,
 		owners: make(map[inet.NetID]Node),
+		pool:   pool,
 	}
 	t.reapFn = t.reap
 	return t
 }
 
-// AllocPacket returns a zeroed packet from the topology's free list. The
+// AllocPacket returns a zeroed packet from the topology's pool. The
 // caller fills in every field it needs; recycled packets carry nothing
 // over from their previous life.
 func (t *Topology) AllocPacket() *inet.Packet { return t.pool.Get() }
 
-// ReleasePacket recycles a dead packet into the topology's free list. Call
+// ReleasePacket recycles a dead packet into the topology's pool. Call
 // it only from a final sink (deliver or drop) that owns the packet
 // outright; the slot is actually reclaimed once the releasing handler
 // returns, so hooks running later in the same event still see the packet
@@ -65,8 +79,9 @@ func (t *Topology) ReleasePacket(pkt *inet.Packet) {
 	}
 }
 
-// PoolStats reports the packet pool's traffic (see inet.PoolStats).
-// Packets released but not yet reclaimed count as out of the pool.
+// PoolStats reports the packet pool's traffic (see inet.PoolStats): the
+// whole shared pool's when the topology was built on one. Packets released
+// but not yet reclaimed count as out of the pool.
 func (t *Topology) PoolStats() inet.PoolStats { return t.pool.Stats() }
 
 // reap moves graveyard packets into the pool once the releasing handler

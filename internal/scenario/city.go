@@ -27,11 +27,11 @@ import (
 // cross shard boundaries through netsim.ShardExchange mailboxes.
 //
 // Every AR domain is self-contained: its correspondent node, routers,
-// access points, hosts, packet pool, and statistics recorder all live on
-// the domain's shard, so a shard never touches another shard's state
-// mid-epoch. Only the region MAPs are shared, and they are shards of their
-// own (or co-resident with domains, balanced by deterministic greedy
-// assignment).
+// access points, hosts, and statistics recorder all live on the domain's
+// shard, and its packets come from that shard's pool, so a shard never
+// touches another shard's state mid-epoch. Only the region MAPs are
+// shared, and they are shards of their own (or co-resident with domains,
+// balanced by deterministic greedy assignment).
 
 // Network numbering of the city topology. Region MAPs manage
 // cityMAPNetBase+r; domain d's correspondent node, PAR, and NAR live on
@@ -202,8 +202,8 @@ func cityAssign(maps, domains, shards int) (mapShard, domShard []int) {
 	return mapShard, domShard
 }
 
-// cityMAP is one region anchor: a MAP agent with its own topology (packet
-// pool) and recorder, all owned by its shard.
+// cityMAP is one region anchor: a MAP agent with its own topology (on its
+// shard's packet pool) and recorder, all owned by its shard.
 type cityMAP struct {
 	shard    int
 	engine   *sim.Engine
@@ -260,9 +260,12 @@ type city struct {
 	domains  []*cityDomain
 }
 
-// releaseChain recycles a dead UDP chain into the given topology's pool
-// (the pool of whichever shard the packet died on — pools trade packets
-// across shards only through the quiescent barrier, so this is race-free).
+// releaseChain recycles a dead UDP chain into the given topology's pool:
+// the pool of the shard the packet died on, which is not always the shard
+// it was born on (the anchor's tunnel wrappers die in the domains). Only
+// the shard running the release touches that pool, and the exchange moves
+// free packets back to where they are needed at the barrier, when every
+// shard is parked, so this is race-free.
 func releaseChain(topo *netsim.Topology, pkt *inet.Packet) {
 	if pkt.Innermost().Proto != inet.ProtoUDP {
 		return
@@ -288,11 +291,11 @@ func newCity(p CityParams) *city {
 		}
 		engines[s] = sim.NewEngine()
 	}
-	c := &city{params: p, engines: engines, exchange: netsim.NewShardExchange()}
+	c := &city{params: p, engines: engines, exchange: netsim.NewShardExchange(engines...)}
 
 	for r := 0; r < p.MAPs; r++ {
 		engine := engines[mapShard[r]]
-		topo := netsim.NewTopology(engine)
+		topo := netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine))
 		net := cityMAPNetBase + inet.NetID(r)
 		router := netsim.NewRouter(fmt.Sprintf("map%d", r), inet.Addr{Net: net, Host: 1})
 		recorder := stats.NewRecorderMode(stats.ModeStreaming)
@@ -334,7 +337,7 @@ func newCity(p CityParams) *city {
 func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	p := c.params
 	engine := c.engines[shard]
-	topo := netsim.NewTopology(engine)
+	topo := netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine))
 	medium := wireless.NewMedium(engine)
 	recorder := stats.NewRecorderMode(stats.ModeStreaming)
 	rng := sim.NewRNG(p.Seed + int64(d)*1_000_003)
@@ -624,6 +627,12 @@ type CityResult struct {
 	Barrier       sim.ShardStats
 	Flushes       uint64
 	ElidedFlushes uint64
+	// Pools holds each shard's packet-pool counters at the end of the run,
+	// in shard order. Σ(Gets−Puts) is the number of packets never
+	// reclaimed and, like every count, is deterministic for a fixed shard
+	// count; Fresh and Len measure the simulator's own memory and are not
+	// rendered.
+	Pools []inet.PoolStats
 	// Aggregates over all domains.
 	Handoffs     int
 	Grants       uint64
@@ -675,6 +684,7 @@ func RunCity(p CityParams) CityResult {
 	res.Barrier = c.group.Stats()
 	res.Flushes = c.exchange.Flushes()
 	res.ElidedFlushes = c.exchange.ElidedFlushes()
+	res.Pools = c.exchange.PoolStats()
 	res.Links = make([]CityLinkUse, len(cityLinkRoles))
 	for i, role := range cityLinkRoles {
 		res.Links[i].Role = role
