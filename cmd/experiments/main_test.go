@@ -257,3 +257,35 @@ func TestNegativeShardsAndWorkersRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestFiguresGolden runs every figure except the two scale runs (metro,
+// city) one -fig at a time, in thesis order, and requires the output to
+// match the published tables in experiments_output.txt byte for byte.
+func TestFiguresGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, exp := range scenario.Experiments() {
+		if exp.ID == "metro" || exp.ID == "city" {
+			continue
+		}
+		if err := run([]string{"-fig", exp.ID}, &got); err != nil {
+			t.Fatalf("-fig %s: %v", exp.ID, err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("figures diverge from experiments_output.txt at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}

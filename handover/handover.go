@@ -216,6 +216,10 @@ func (s *Simulation) AddMobileHost(motion Motion, flows ...Flow) *Host {
 		}
 	}
 	unit := s.tb.AddMobileHost(motion, specs)
+	// FlowReport.P99Delay is exact: it reads every kept sample.
+	for _, id := range unit.Flows {
+		s.tb.Recorder.KeepSamples(id)
+	}
 	h := &Host{unit: unit, sim: s}
 	s.hosts = append(s.hosts, h)
 	return h

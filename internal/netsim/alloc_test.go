@@ -49,14 +49,14 @@ func TestUDPHopZeroAlloc(t *testing.T) {
 }
 
 // TestUDPHopRecordedZeroAlloc pins the telemetry-instrumented hot path:
-// a hop whose send and delivery also feed the statistics recorder (both
-// exact and streaming modes) still allocates nothing in steady state.
+// a hop whose send and delivery also feed the statistics recorder (on a
+// flow that keeps its samples and on one that does not) still allocates
+// nothing in steady state.
 func TestUDPHopRecordedZeroAlloc(t *testing.T) {
-	for _, mode := range []stats.Mode{stats.ModeExact, stats.ModeStreaming} {
-		mode := mode
-		name := "exact"
-		if mode == stats.ModeStreaming {
-			name = "streaming"
+	for _, keep := range []bool{true, false} {
+		name := "streaming"
+		if keep {
+			name = "kept"
 		}
 		t.Run(name, func(t *testing.T) {
 			engine := sim.NewEngine()
@@ -65,7 +65,10 @@ func TestUDPHopRecordedZeroAlloc(t *testing.T) {
 			b := NewHost("b", inet.Addr{Net: 2, Host: 1})
 			topo.Connect(a, b, LinkConfig{BandwidthBPS: 10e6, Delay: sim.Millisecond})
 
-			rec := stats.NewRecorderMode(mode)
+			rec := stats.NewRecorder()
+			if keep {
+				rec.KeepSamples(1)
+			}
 			b.Receive = func(pkt *inet.Packet) {
 				rec.Delivered(pkt, engine.Now())
 				topo.ReleasePacket(pkt)
@@ -85,17 +88,18 @@ func TestUDPHopRecordedZeroAlloc(t *testing.T) {
 					t.Fatalf("engine: %v", err)
 				}
 			}
-			// Warm pools, the dense flow table, and (exact mode) the delay
+			// Warm pools, the dense flow table, and (kept flow) the delay
 			// sample slice far enough that append growth is amortized out
 			// of the measured window.
 			for i := 0; i < 4096; i++ {
 				send()
 			}
-			// Exact mode appends a DelaySample per delivery; keep sending
+			// A kept flow appends a DelaySample per delivery; keep sending
 			// until the slice has enough spare capacity that no growth can
 			// land inside the measured runs.
-			if mode == stats.ModeExact {
-				for f := rec.Flow(1); cap(f.Delays)-len(f.Delays) < 256; {
+			f := rec.Flow(1)
+			if keep {
+				for cap(f.Delays)-len(f.Delays) < 256 {
 					send()
 				}
 			}
@@ -104,6 +108,9 @@ func TestUDPHopRecordedZeroAlloc(t *testing.T) {
 			}
 			if rec.TotalDelivered() == 0 {
 				t.Fatal("no packets recorded")
+			}
+			if kept := uint64(len(f.Delays)); keep && kept != f.DelayCount() || !keep && kept != 0 {
+				t.Fatalf("keep=%v: %d samples of %d deliveries", keep, kept, f.DelayCount())
 			}
 		})
 	}

@@ -27,6 +27,10 @@ type Router struct {
 	// consumes them first by returning true.
 	LocalDeliver func(in *Iface, pkt *inet.Packet) bool
 
+	// NoRoute, when set, receives every packet Forward drops for lack of a
+	// route, after the drop is counted, so the owner can recycle it.
+	NoRoute func(pkt *inet.Packet)
+
 	noRoute uint64
 }
 
@@ -95,11 +99,14 @@ func (r *Router) HandlePacket(in *Iface, pkt *inet.Packet) {
 }
 
 // Forward sends pkt toward its destination using the routing tables,
-// counting a drop when no route exists.
+// counting a drop (and handing the packet to NoRoute) when no route exists.
 func (r *Router) Forward(pkt *inet.Packet) {
 	via := r.Route(pkt.Dst)
 	if via == nil {
 		r.noRoute++
+		if r.NoRoute != nil {
+			r.NoRoute(pkt)
+		}
 		return
 	}
 	via.Send(pkt)

@@ -58,12 +58,18 @@ func TestRouterReverseDirection(t *testing.T) {
 
 func TestRouterNoRouteDrops(t *testing.T) {
 	e, _, cn, r1, _, _ := lineTopology(t)
-	cn.Send(newPkt(cn.Addr(), inet.Addr{Net: 77, Host: 1}, 100))
+	var handed []*inet.Packet
+	r1.NoRoute = func(pkt *inet.Packet) { handed = append(handed, pkt) }
+	sent := newPkt(cn.Addr(), inet.Addr{Net: 77, Host: 1}, 100)
+	cn.Send(sent)
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if r1.NoRouteDrops() != 1 {
 		t.Fatalf("NoRouteDrops = %d, want 1", r1.NoRouteDrops())
+	}
+	if len(handed) != 1 || handed[0] != sent {
+		t.Fatalf("NoRoute received %v, want the dropped packet once", handed)
 	}
 }
 

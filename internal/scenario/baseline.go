@@ -74,6 +74,7 @@ func runBaselineOnce(name string, p Params) BaselineRow {
 	unit := tb.AddMobileHost(wireless.Linear{Start: 50, Speed: MHSpeed}, []FlowSpec{
 		AudioFlow(inet.ClassHighPriority),
 	})
+	tb.Recorder.KeepSamples(unit.Flows[0])
 	tb.StartTraffic()
 	if err := tb.Run(12 * sim.Second); err != nil {
 		panic(fmt.Sprintf("baseline: %v", err))

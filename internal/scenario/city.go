@@ -298,7 +298,7 @@ func newCity(p CityParams) *city {
 		topo := netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine))
 		net := cityMAPNetBase + inet.NetID(r)
 		router := netsim.NewRouter(fmt.Sprintf("map%d", r), inet.Addr{Net: net, Host: 1})
-		recorder := stats.NewRecorderMode(stats.ModeStreaming)
+		recorder := stats.NewRecorder()
 		agent := mip.NewAgent(engine, router, mip.AgentConfig{
 			ManagedNet: net,
 			Alloc:      topo.AllocPacket,
@@ -339,7 +339,7 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	engine := c.engines[shard]
 	topo := netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine))
 	medium := wireless.NewMedium(engine)
-	recorder := stats.NewRecorderMode(stats.ModeStreaming)
+	recorder := stats.NewRecorder()
 	rng := sim.NewRNG(p.Seed + int64(d)*1_000_003)
 
 	parNet := cityDomainNetBase + inet.NetID(2*d)
@@ -349,6 +349,13 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	cn := netsim.NewHost(fmt.Sprintf("cn%d", d), inet.Addr{Net: cnNet, Host: 1})
 	parRouter := netsim.NewRouter(fmt.Sprintf("par%d", d), inet.Addr{Net: parNet, Host: 1})
 	narRouter := netsim.NewRouter(fmt.Sprintf("nar%d", d), inet.Addr{Net: narNet, Host: 1})
+	// A packet with no route has already counted as lost to its flow
+	// (sent, never delivered); its chain only goes back to the pool. The
+	// PAR meets them when an anchor tunnel to a departed care-of address
+	// arrives after the handoff session has ended.
+	for _, r := range []*netsim.Router{parRouter, narRouter} {
+		r.NoRoute = func(pkt *inet.Packet) { releaseChain(topo, pkt) }
+	}
 
 	arLink := topo.Connect(parRouter, narRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
 	apPAR := wireless.NewAccessPoint(fmt.Sprintf("ap%d-par", d), medium, wireless.APConfig{
@@ -622,8 +629,10 @@ type CityResult struct {
 	// Flushes/ElidedFlushes the exchange's — all pure functions of the
 	// model for a fixed shard count and epoch mode, so they render into
 	// the golden output: a regression in barrier efficiency shows up as a
-	// golden diff. All zero when the partition is a single shard (the run
-	// never enters the round loop).
+	// golden diff. A single-shard partition never enters the round loop,
+	// so Barrier and Flushes are zero there; ElidedFlushes is 2, the empty
+	// flush each of the run's two ShardGroup.Run calls (traffic, then
+	// drain) makes before running the lone engine serially.
 	Barrier       sim.ShardStats
 	Flushes       uint64
 	ElidedFlushes uint64

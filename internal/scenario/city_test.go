@@ -48,6 +48,11 @@ func TestCityOneShardIsSerialEngine(t *testing.T) {
 	if viaGroup.CrossPorts != 0 {
 		t.Fatalf("1-shard city registered %d mailbox ports, want 0 (must be the serial engine)", viaGroup.CrossPorts)
 	}
+	// No round loop: only the two Run calls' empty flushes are counted.
+	if viaGroup.Barrier != (sim.ShardStats{}) || viaGroup.Flushes != 0 || viaGroup.ElidedFlushes != 2 {
+		t.Fatalf("1-shard barrier counters %+v, flushes %d, elided %d; want zero, 0, 2",
+			viaGroup.Barrier, viaGroup.Flushes, viaGroup.ElidedFlushes)
+	}
 	serial := p
 	serial.forceSerial = true
 	viaSerial := RunCity(serial)
@@ -439,7 +444,7 @@ func TestCityShardPoolsStayBalanced(t *testing.T) {
 			t.Errorf("pool counters differ between 1 and %d workers:\n%v\nvs\n%v", workers, res.Pools, ref)
 		}
 	}
-	if out[0] != out[1] {
-		t.Fatalf("packets never reclaimed: %d at 1 worker, %d at 2", out[0], out[1])
+	if out[0] != 0 || out[1] != 0 {
+		t.Fatalf("packets never reclaimed after the drain: %d at 1 worker, %d at 2, want 0", out[0], out[1])
 	}
 }

@@ -88,12 +88,13 @@ func TestCorridorDeliversInOrder(t *testing.T) {
 		Alpha:         2,
 		BufferRequest: 20,
 	}, AudioFlow(inet.ClassRealTime))
+	c.Recorder.KeepSamples(c.Flow)
 	if err := c.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	f := c.Recorder.Flow(c.Flow)
 	last := int64(-1)
-	for _, s := range f.Delays {
+	for _, s := range keptDelays(t, f) {
 		if int64(s.Seq) <= last {
 			t.Fatalf("out-of-order delivery: seq %d after %d", s.Seq, last)
 		}

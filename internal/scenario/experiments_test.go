@@ -300,6 +300,7 @@ func TestPlainMIPHandoffCompletes(t *testing.T) {
 	unit := tb.AddMobileHost(wireless.Linear{Start: 50, Speed: MHSpeed}, []FlowSpec{
 		AudioFlow(inet.ClassHighPriority),
 	})
+	tb.Recorder.KeepSamples(unit.Flows[0])
 	tb.StartTraffic()
 	if err := tb.Run(12 * sim.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -320,7 +321,7 @@ func TestPlainMIPHandoffCompletes(t *testing.T) {
 		t.Errorf("implausible plain-MIP stats: delivered=%d lost=%d", f.Delivered, f.Lost())
 	}
 	var lastDelivery sim.Time
-	for _, s := range f.Delays {
+	for _, s := range keptDelays(t, f) {
 		if s.At > lastDelivery {
 			lastDelivery = s.At
 		}

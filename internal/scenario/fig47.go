@@ -81,6 +81,9 @@ func RunDelayTrace(p DelayTraceParams) DelayTraceResult {
 		spec(inet.ClassHighPriority),
 		spec(inet.ClassBestEffort),
 	})
+	for _, id := range unit.Flows {
+		tb.Recorder.KeepSamples(id)
+	}
 	tb.StartTraffic()
 	if err := tb.Run(12 * sim.Second); err != nil {
 		panic(fmt.Sprintf("delay trace: %v", err))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/inet"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/wireless"
 )
 
@@ -21,6 +22,9 @@ func oneHandoffRun(t *testing.T, p Params) (*Testbed, *MHUnit) {
 		AudioFlow(inet.ClassHighPriority),
 		AudioFlow(inet.ClassBestEffort),
 	})
+	for _, id := range unit.Flows {
+		tb.Recorder.KeepSamples(id)
+	}
 	tb.StartTraffic()
 	if err := tb.Run(12 * sim.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -30,6 +34,17 @@ func oneHandoffRun(t *testing.T, p Params) (*Testbed, *MHUnit) {
 		t.Fatalf("Run drain: %v", err)
 	}
 	return tb, unit
+}
+
+// keptDelays returns a kept flow's delay samples, failing the test unless
+// the flow kept one for each of its deliveries and had at least one: a
+// check over an empty slice would pass vacuously.
+func keptDelays(t *testing.T, f *stats.FlowStats) []stats.DelaySample {
+	t.Helper()
+	if n := len(f.Delays); n == 0 || n != int(f.DelayCount()) {
+		t.Fatalf("flow %d kept %d samples of %d deliveries", f.Flow, n, f.DelayCount())
+	}
+	return f.Delays
 }
 
 func TestSingleHandoffEnhanced(t *testing.T) {
@@ -134,7 +149,7 @@ func TestSingleHandoffDeliversInOrderPerFlow(t *testing.T) {
 	for _, id := range unit.Flows {
 		f := tb.Recorder.Flow(id)
 		last := int64(-1)
-		for _, s := range f.Delays {
+		for _, s := range keptDelays(t, f) {
 			if int64(s.Seq) <= last {
 				t.Errorf("flow %d delivered seq %d after %d", id, s.Seq, last)
 				break
@@ -154,7 +169,7 @@ func TestHandoffDelaysSpikeOnlyAroundBlackout(t *testing.T) {
 	rec := unit.MH.Handoffs()[0]
 	for _, id := range unit.Flows {
 		f := tb.Recorder.Flow(id)
-		for _, s := range f.Delays {
+		for _, s := range keptDelays(t, f) {
 			baseline := s.Delay < 20*sim.Millisecond
 			inWindow := s.At >= rec.Detached && s.At <= rec.Attached+sim.Second
 			if !baseline && !inWindow {

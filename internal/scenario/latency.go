@@ -47,6 +47,7 @@ func runLatencyBreakdownEngine(handoffs int, seed int64, engine *sim.Engine) Lat
 	unit := tb.AddMobileHost(wireless.PingPong{A: 20, B: 192, Speed: MHSpeed}, []FlowSpec{
 		AudioFlow(inet.ClassHighPriority),
 	})
+	tb.Recorder.KeepSamples(unit.Flows[0])
 	done := 0
 	unit.MH.OnHandoffDone = func(rec core.HandoffRecord) {
 		done++

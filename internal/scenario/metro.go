@@ -10,7 +10,6 @@ import (
 	"repro/internal/inet"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/wireless"
 )
 
@@ -210,10 +209,6 @@ func runMetroTestbed(p MetroParams, scheme core.Scheme, request, hosts int) *Tes
 		BufferRequest: request,
 		Seed:          p.Seed,
 		Engine:        p.Engine,
-		// Metro cells only report max/mean delay, which the streaming
-		// recorder tracks exactly; skipping per-packet samples keeps a
-		// 2000-host sweep at O(flows) memory instead of O(packets).
-		StatsMode: stats.ModeStreaming,
 	})
 	for i := 0; i < hosts; i++ {
 		from := window * sim.Time(i) / sim.Time(hosts)

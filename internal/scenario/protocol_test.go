@@ -376,6 +376,7 @@ func TestUnauthenticatedHostIsRefused(t *testing.T) {
 		AudioFlow(inet.ClassHighPriority),
 	})
 	unit.MH.SetAuthKey(nil) // the host cannot sign
+	tb.Recorder.KeepSamples(unit.Flows[0])
 
 	tb.StartTraffic()
 	if err := tb.Run(16 * sim.Second); err != nil {
@@ -395,7 +396,7 @@ func TestUnauthenticatedHostIsRefused(t *testing.T) {
 	// host leaves the old coverage (x=112 at t≈6.2s).
 	f := tb.Recorder.Flow(unit.Flows[0])
 	var lastDelivery sim.Time
-	for _, s := range f.Delays {
+	for _, s := range keptDelays(t, f) {
 		if s.At > lastDelivery {
 			lastDelivery = s.At
 		}
@@ -713,15 +714,13 @@ func TestDeterminism(t *testing.T) {
 			{Class: inet.ClassHighPriority, Size: 160, Interval: 9 * sim.Millisecond},
 			{Class: inet.ClassBestEffort, Size: 160, Interval: 11 * sim.Millisecond},
 		})
+		tb.Recorder.KeepSamples(unit.Flows[1])
 		tb.StartTraffic()
 		if err := tb.Run(60 * sim.Second); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		f := tb.Recorder.Flow(unit.Flows[1])
-		var lastAt sim.Time
-		if n := len(f.Delays); n > 0 {
-			lastAt = f.Delays[n-1].At
-		}
+		delays := keptDelays(t, tb.Recorder.Flow(unit.Flows[1]))
+		lastAt := delays[len(delays)-1].At
 		return tb.Recorder.TotalSent(), tb.Recorder.TotalLost(), lastAt, tb.Engine.Processed()
 	}
 	s1, l1, t1, p1 := run()

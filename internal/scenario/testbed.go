@@ -79,11 +79,10 @@ type Params struct {
 	ControlLossRate float64
 	// Seed drives beacon phases and the fault injector.
 	Seed int64
-	// StatsMode selects how the recorder summarizes delays: ModeExact
-	// (default) retains every sample for exact percentiles and delivery
-	// traces; ModeStreaming folds each delay into per-flow running
-	// aggregates and a per-class histogram, keeping memory O(flows)
-	// instead of O(packets) for metro-scale runs.
+	// StatsMode once selected the recorder's delay retention.
+	//
+	// Deprecated: ignored. The recorder streams; a reader of per-packet
+	// samples calls Recorder.KeepSamples on its flows.
 	StatsMode stats.Mode
 	// Engine, when set, is reused for this testbed instead of creating a
 	// fresh one. NewTestbed resets it first, so a worker can run many
@@ -253,7 +252,7 @@ func NewTestbed(p Params) *Testbed {
 	}
 
 	dir := core.NewDirectory()
-	recorder := stats.NewRecorderMode(p.StatsMode)
+	recorder := stats.NewRecorder()
 	arCfg := core.ARConfig{
 		Scheme:            p.Scheme,
 		PoolSize:          p.PoolSize,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fho"
 	"repro/internal/inet"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wireless"
 )
@@ -160,16 +159,15 @@ func firstDiffContext(a, b string) string {
 	return "(prefix of the other)"
 }
 
-// TestStreamingTestbedRetainsNoSamples pins the streaming recorder's
-// memory contract on a real run: delays are counted, aggregated per flow
-// and binned per class, but no per-packet samples are retained.
+// TestStreamingTestbedRetainsNoSamples pins the recorder's memory contract
+// on a real run: delays on a flow nobody keeps are counted, aggregated per
+// flow and binned per class, but no per-packet samples are retained.
 func TestStreamingTestbedRetainsNoSamples(t *testing.T) {
 	tb := NewTestbed(Params{
 		Scheme:        core.SchemeEnhanced,
 		PoolSize:      40,
 		Alpha:         2,
 		BufferRequest: 20,
-		StatsMode:     stats.ModeStreaming,
 	})
 	tb.AddMobileHost(wireless.Linear{Start: 50, Speed: MHSpeed}, []FlowSpec{
 		AudioFlow(inet.ClassHighPriority),

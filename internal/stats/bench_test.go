@@ -26,7 +26,7 @@ func BenchmarkRecorderSent(b *testing.B) {
 }
 
 func BenchmarkRecorderDeliveredStreaming(b *testing.B) {
-	r := NewRecorderMode(ModeStreaming)
+	r := NewRecorder()
 	p := benchPacket()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,9 +64,10 @@ func BenchmarkInternSiteHit(b *testing.B) {
 }
 
 // TestRecorderHotPathAllocs pins the telemetry hot path: recording a sent,
-// streamed-delivered, or dropped packet allocates nothing in steady state.
+// delivered (on a flow that keeps no samples), or dropped packet allocates
+// nothing in steady state.
 func TestRecorderHotPathAllocs(t *testing.T) {
-	r := NewRecorderMode(ModeStreaming)
+	r := NewRecorder()
 	p := benchPacket()
 	now := sim.Time(0)
 	warm := func() {
@@ -80,7 +81,7 @@ func TestRecorderHotPathAllocs(t *testing.T) {
 		warm()
 	}
 	if avg := testing.AllocsPerRun(100, warm); avg != 0 {
-		t.Fatalf("streaming hot path allocates %.2f times per op; want 0", avg)
+		t.Fatalf("recorder hot path allocates %.2f times per op; want 0", avg)
 	}
 }
 

@@ -105,7 +105,7 @@ func nearestRank(p float64, n uint64) uint64 {
 }
 
 // sortedPercentile is the exact nearest-rank percentile over a sorted
-// slice, shared by the exact recorder path and the differential tests.
+// slice, shared by FlowStats.DelayPercentile and the differential tests.
 func sortedPercentile(sorted []sim.Time, p float64) sim.Time {
 	rank := nearestRank(p, uint64(len(sorted)))
 	if rank == 0 {

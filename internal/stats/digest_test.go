@@ -171,14 +171,17 @@ func FuzzDelayHistogram(f *testing.F) {
 	})
 }
 
-// TestStreamingDifferential replays one seeded operation stream through an
-// exact-mode and a streaming-mode recorder: every counter and running
-// aggregate must agree exactly, and each class's streaming percentiles
-// must stay within 1/32 of the exact nearest-rank value over that class's
-// retained samples.
+// TestStreamingDifferential replays one seeded operation stream through a
+// recorder that keeps every flow's samples and one that keeps none: every
+// counter, running aggregate and class histogram must agree exactly, and
+// each class's histogram percentiles must stay within 1/32 of the exact
+// nearest-rank value over that class's kept samples.
 func TestStreamingDifferential(t *testing.T) {
-	exact := NewRecorder()
-	stream := NewRecorderMode(ModeStreaming)
+	kept := NewRecorder()
+	unkept := NewRecorder()
+	for flow := inet.FlowID(1); flow <= 8; flow++ {
+		kept.KeepSamples(flow)
+	}
 	rng := rand.New(rand.NewSource(42))
 
 	sites := []string{"par-buffer", "nar-buffer", "par-policy", "lifetime", "air"}
@@ -192,31 +195,31 @@ func TestStreamingDifferential(t *testing.T) {
 			Seq:     uint32(i),
 			Created: now,
 		}
-		exact.Sent(p)
-		stream.Sent(p)
+		kept.Sent(p)
+		unkept.Sent(p)
 		switch rng.Intn(10) {
 		case 0: // lost somewhere
 			site := sites[rng.Intn(len(sites))]
-			exact.Dropped(p, site)
-			stream.Dropped(p, site)
+			kept.Dropped(p, site)
+			unkept.Dropped(p, site)
 		default:
 			at := now + sim.Time(rng.Intn(200_000)+20)
-			exact.Delivered(p, at)
-			stream.Delivered(p, at)
+			kept.Delivered(p, at)
+			unkept.Delivered(p, at)
 		}
 	}
 
-	if exact.TotalSent() != stream.TotalSent() ||
-		exact.TotalDelivered() != stream.TotalDelivered() ||
-		exact.TotalLost() != stream.TotalLost() {
-		t.Fatal("totals diverge between modes")
+	if kept.TotalSent() != unkept.TotalSent() ||
+		kept.TotalDelivered() != unkept.TotalDelivered() ||
+		kept.TotalLost() != unkept.TotalLost() {
+		t.Fatal("totals diverge between the kept and unkept recorders")
 	}
-	for site, n := range exact.SiteDrops() {
-		if stream.SiteDrops()[site] != n {
+	for site, n := range kept.SiteDrops() {
+		if unkept.SiteDrops()[site] != n {
 			t.Fatalf("site %s drop counts diverge", DropSite(site))
 		}
 	}
-	ef, sf := exact.Flows(), stream.Flows()
+	ef, sf := kept.Flows(), unkept.Flows()
 	if len(ef) != len(sf) {
 		t.Fatalf("flow counts diverge: %d vs %d", len(ef), len(sf))
 	}
@@ -229,12 +232,15 @@ func TestStreamingDifferential(t *testing.T) {
 		if e.DelayCount() != s.DelayCount() {
 			t.Fatalf("flow %d delay counts diverge", e.Flow)
 		}
+		if n := len(e.Delays); n == 0 || n != int(e.DelayCount()) {
+			t.Fatalf("kept flow %d retained %d samples of %d deliveries", e.Flow, n, e.DelayCount())
+		}
 		// Running aggregates share the same arithmetic: exact equality.
 		if e.MaxDelay() != s.MaxDelay() || e.MeanDelay() != s.MeanDelay() || e.Jitter() != s.Jitter() {
 			t.Fatalf("flow %d aggregate delays diverge", e.Flow)
 		}
 		if len(s.Delays) != 0 {
-			t.Fatalf("streaming flow %d retained %d samples", s.Flow, len(s.Delays))
+			t.Fatalf("unkept flow %d retained %d samples", s.Flow, len(s.Delays))
 		}
 		for _, d := range e.Delays {
 			classDelays[e.Class] = append(classDelays[e.Class], d.Delay)
@@ -246,17 +252,17 @@ func TestStreamingDifferential(t *testing.T) {
 	for class, delays := range classDelays {
 		sortTimes(delays)
 		for _, p := range []float64{1, 50, 90, 95, 99, 99.9, 100} {
-			ev, sv := sortedPercentile(delays, p), stream.ClassDelayPercentile(class, p)
+			ev, sv := sortedPercentile(delays, p), unkept.ClassDelayPercentile(class, p)
 			if !withinBucketError(sv, ev) {
-				t.Errorf("%v p%v: streaming %v vs exact %v", class, p, sv, ev)
+				t.Errorf("%v p%v: histogram %v vs exact %v", class, p, sv, ev)
+			}
+			if kv := kept.ClassDelayPercentile(class, p); kv != sv {
+				t.Errorf("%v p%v: kept recorder's histogram %v vs unkept %v", class, p, kv, sv)
 			}
 		}
 	}
-	if exact.ClassDelayPercentile(inet.ClassRealTime, 50) != 0 {
-		t.Fatal("exact-mode recorder answered a class percentile")
-	}
-	if stream.ClassDelayPercentile(inet.ClassUnspecified, 50) != 0 {
-		t.Fatal("streaming recorder invented unspecified-class delays")
+	if unkept.ClassDelayPercentile(inet.ClassUnspecified, 50) != 0 {
+		t.Fatal("recorder invented unspecified-class delays")
 	}
 }
 
@@ -316,7 +322,7 @@ func FuzzInternSite(f *testing.F) {
 }
 
 func TestClassDelayPercentileFoldsUnknownClass(t *testing.T) {
-	r := NewRecorderMode(ModeStreaming)
+	r := NewRecorder()
 	const odd = inet.Class(9)
 	r.DeclareFlow(1, odd)
 	r.Delivered(&inet.Packet{Flow: 1, Class: odd, Created: 100}, 120)

@@ -5,14 +5,14 @@
 // The recording hot path is O(1) and allocation-free in steady state:
 // flows live in a dense table indexed by a small interned flow index, and
 // drops are counted in arrays indexed by interned DropSite instead of
-// string-keyed maps. Two modes govern the delay state. ModeExact (the
-// default) retains every DelaySample, exactly as the figures require.
-// ModeStreaming retains no samples: each flow keeps O(1) running
-// aggregates (count, sum, max, jitter), and the recorder keeps one
+// string-keyed maps. Every delivery takes one path: each flow keeps O(1)
+// running aggregates (count, sum, max, jitter), and the recorder keeps one
 // DelayHistogram per traffic class (Table 3.1), a fixed log-linear layout
-// that answers any class percentile within 1/32 of the exact value. The
-// streaming delay state is ~30 KB per recorder, allocated once, whatever
-// the number of flows or packets.
+// that answers any class percentile within 1/32 of the exact value. That
+// state is ~30 KB per recorder, allocated once, whatever the number of
+// flows or packets. A flow retains its DelaySamples only after its reader
+// calls Recorder.KeepSamples: the per-packet traces keep the few flows
+// they render, and every other flow stays O(1).
 //
 // All collectors run on the single simulation goroutine; none are safe for
 // concurrent use.
@@ -25,19 +25,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Mode selects how a Recorder retains per-flow delay state.
+// Mode once selected a recorder-wide delay retention.
+//
+// Deprecated: ignored. Every Recorder streams, and a flow keeps samples
+// after Recorder.KeepSamples.
 type Mode uint8
 
-const (
-	// ModeExact retains every delivered packet's DelaySample. All delay
-	// queries are exact; memory grows O(packets).
-	ModeExact Mode = iota
-	// ModeStreaming retains only running aggregates per flow and a
-	// DelayHistogram per class. Max/mean/jitter stay exact (they are
-	// running computations either way); percentiles are per class, within
-	// 1/32 (Recorder.ClassDelayPercentile). Memory stays O(flows).
-	ModeStreaming
-)
+// ModeStreaming is the retention every Recorder has.
+//
+// Deprecated: ignored, like Mode.
+const ModeStreaming Mode = 1
 
 // DelaySample is one delivered packet's end-to-end latency.
 type DelaySample struct {
@@ -57,15 +54,17 @@ type FlowStats struct {
 	Sent      uint64
 	Delivered uint64
 
-	// Delays retains every delivery sample in ModeExact, in delivery (and
-	// therefore At) order; it stays empty in ModeStreaming.
+	// Delays retains every delivery sample, in delivery (and therefore At)
+	// order, once Recorder.KeepSamples has marked the flow; it stays empty
+	// otherwise.
 	Delays []DelaySample
+	keep   bool
 
 	// drops counts packets reported lost, indexed by DropSite.
 	drops []uint64
 
-	// Running delay aggregates, maintained on every Delivered in both
-	// modes so max/mean/jitter are O(1) queries at any scale.
+	// Running delay aggregates, maintained on every Delivered so
+	// max/mean/jitter are O(1) queries at any scale.
 	delayCount uint64
 	delaySum   sim.Time
 	delayMax   sim.Time
@@ -121,14 +120,8 @@ func (f *FlowStats) Lost() uint64 {
 	return f.Sent - f.Delivered
 }
 
-// DelayCount returns how many delay observations the flow has, in either
-// mode (including manually appended Delays).
-func (f *FlowStats) DelayCount() uint64 {
-	if f.delayCount > 0 {
-		return f.delayCount
-	}
-	return uint64(len(f.Delays))
-}
+// DelayCount returns how many delay observations the flow has.
+func (f *FlowStats) DelayCount() uint64 { return f.delayCount }
 
 // observeDelay maintains the running aggregates.
 func (f *FlowStats) observeDelay(d sim.Time) {
@@ -148,37 +141,18 @@ func (f *FlowStats) observeDelay(d sim.Time) {
 }
 
 // MaxDelay returns the largest recorded delay (zero when empty).
-func (f *FlowStats) MaxDelay() sim.Time {
-	if f.delayCount > 0 {
-		return f.delayMax
-	}
-	var m sim.Time
-	for _, s := range f.Delays {
-		if s.Delay > m {
-			m = s.Delay
-		}
-	}
-	return m
-}
+func (f *FlowStats) MaxDelay() sim.Time { return f.delayMax }
 
 // MeanDelay returns the average recorded delay (zero when empty).
 func (f *FlowStats) MeanDelay() sim.Time {
-	if f.delayCount > 0 {
-		return f.delaySum / sim.Time(f.delayCount)
-	}
-	if len(f.Delays) == 0 {
+	if f.delayCount == 0 {
 		return 0
 	}
-	var sum sim.Time
-	for _, s := range f.Delays {
-		sum += s.Delay
-	}
-	return sum / sim.Time(len(f.Delays))
+	return f.delaySum / sim.Time(f.delayCount)
 }
 
 // Recorder is the central measurement sink for one simulation run.
 type Recorder struct {
-	mode Mode
 	// flows is the dense flow table in first-seen order; dense maps small
 	// flow IDs straight to an index (dense[id] = index+1), and sparse
 	// catches IDs beyond the direct-index bound.
@@ -196,8 +170,8 @@ type Recorder struct {
 	dedupNAR   uint64
 
 	// classDelays holds one delay histogram per class, indexed by
-	// inet.Class, in ModeStreaming; nil in ModeExact.
-	classDelays *[numClasses]DelayHistogram
+	// inet.Class.
+	classDelays [numClasses]DelayHistogram
 }
 
 // numClasses counts the Table 3.1 class values, ClassUnspecified included.
@@ -216,20 +190,8 @@ func classSlot(c inet.Class) inet.Class {
 // practice every flow takes the one-array-load path.
 const denseLimit = 1 << 20
 
-// NewRecorder returns an empty recorder in ModeExact.
-func NewRecorder() *Recorder { return NewRecorderMode(ModeExact) }
-
-// NewRecorderMode returns an empty recorder in the given mode.
-func NewRecorderMode(mode Mode) *Recorder {
-	r := &Recorder{mode: mode}
-	if mode == ModeStreaming {
-		r.classDelays = new([numClasses]DelayHistogram)
-	}
-	return r
-}
-
-// Mode returns the recorder's delay-retention mode.
-func (r *Recorder) Mode() Mode { return r.mode }
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // flow returns (creating if needed) the stats bucket for a flow.
 func (r *Recorder) flow(id inet.FlowID) *FlowStats {
@@ -274,6 +236,11 @@ func (r *Recorder) DeclareFlow(id inet.FlowID, class inet.Class) {
 	r.flow(id).Class = class
 }
 
+// KeepSamples makes the flow retain a DelaySample for every delivery from
+// now on, for the readers of Delays, DelaysIn, DeliveryGap and
+// DelayPercentile. Call it before the flow's traffic starts.
+func (r *Recorder) KeepSamples(id inet.FlowID) { r.flow(id).keep = true }
+
 // Sent records one transmitted application packet.
 func (r *Recorder) Sent(pkt *inet.Packet) {
 	f := r.flow(pkt.Flow)
@@ -289,11 +256,10 @@ func (r *Recorder) Delivered(pkt *inet.Packet, at sim.Time) {
 	f.Delivered++
 	d := at - pkt.Created
 	f.observeDelay(d)
-	if r.classDelays != nil {
-		r.classDelays[classSlot(f.Class)].Add(d)
-		return
+	r.classDelays[classSlot(f.Class)].Add(d)
+	if f.keep {
+		f.Delays = append(f.Delays, DelaySample{Seq: pkt.Seq, At: at, Delay: d})
 	}
-	f.Delays = append(f.Delays, DelaySample{Seq: pkt.Seq, At: at, Delay: d})
 }
 
 // Dropped records one lost packet with its drop location. Tunnel headers
@@ -431,9 +397,9 @@ func (r *Recorder) TotalLost() uint64 {
 
 // DelayPercentile returns the exact nearest-rank p-th percentile
 // (0 < p ≤ 100) of the flow's retained delays: sorted once into a cached
-// copy that is reused until new samples arrive. Exact mode only (zero
-// without retained samples; streaming recorders answer per class through
-// Recorder.ClassDelayPercentile).
+// copy that is reused until new samples arrive. Kept flows only (zero
+// without retained samples; Recorder.ClassDelayPercentile answers for any
+// class).
 func (f *FlowStats) DelayPercentile(p float64) sim.Time {
 	if len(f.sortedDelays) != len(f.Delays) {
 		f.sortedDelays = f.sortedDelays[:0]
@@ -448,12 +414,8 @@ func (f *FlowStats) DelayPercentile(p float64) sim.Time {
 // ClassDelayPercentile returns the p-th percentile (0 < p ≤ 100) of the
 // delays delivered on flows of one class, from the class's DelayHistogram:
 // within 1/32 of the exact nearest-rank value, and exact below 32 ns.
-// Classes outside Table 3.1 answer as ClassUnspecified. Streaming mode
-// only (zero in exact mode, whose flows answer through DelayPercentile).
+// Classes outside Table 3.1 answer as ClassUnspecified.
 func (r *Recorder) ClassDelayPercentile(class inet.Class, p float64) sim.Time {
-	if r.classDelays == nil {
-		return 0
-	}
 	return r.classDelays[classSlot(class)].Percentile(p)
 }
 
@@ -461,30 +423,16 @@ func (r *Recorder) ClassDelayPercentile(class inet.Class, p float64) sim.Time {
 // packets' delays (the RFC 3550 interarrival-jitter idea without the
 // smoothing filter); zero with fewer than two samples.
 func (f *FlowStats) Jitter() sim.Time {
-	if f.delayCount > 0 {
-		if f.delayCount < 2 {
-			return 0
-		}
-		return f.jitterSum / sim.Time(f.delayCount-1)
-	}
-	if len(f.Delays) < 2 {
+	if f.delayCount < 2 {
 		return 0
 	}
-	var sum sim.Time
-	for i := 1; i < len(f.Delays); i++ {
-		d := f.Delays[i].Delay - f.Delays[i-1].Delay
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / sim.Time(len(f.Delays)-1)
+	return f.jitterSum / sim.Time(f.delayCount-1)
 }
 
 // DelaysIn returns the recorded delay samples whose delivery instants fall
 // inside [lo, hi], as a subslice of Delays (do not mutate). Delays are
 // stored in At order, so the window is located by binary search instead of
-// a full scan. Exact mode only (empty without retained samples).
+// a full scan. Kept flows only (empty without retained samples).
 func (f *FlowStats) DelaysIn(lo, hi sim.Time) []DelaySample {
 	ds := f.Delays
 	i := sort.Search(len(ds), func(i int) bool { return ds[i].At >= lo })
@@ -497,7 +445,7 @@ func (f *FlowStats) DelaysIn(lo, hi sim.Time) []DelaySample {
 
 // DeliveryGap returns the longest interval between consecutive recorded
 // deliveries whose instants fall inside [lo, hi] — the service-outage
-// measure of the baseline and latency experiments. Exact mode only (zero
+// measure of the baseline and latency experiments. Kept flows only (zero
 // without retained samples). Delays are stored in At order, so the window
 // is located by binary search.
 func (f *FlowStats) DeliveryGap(lo, hi sim.Time) sim.Time {

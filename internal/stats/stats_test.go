@@ -15,6 +15,7 @@ func pkt(flow inet.FlowID, class inet.Class, seq uint32, created sim.Time) *inet
 
 func TestRecorderSentDelivered(t *testing.T) {
 	r := NewRecorder()
+	r.KeepSamples(1)
 	p := pkt(1, inet.ClassRealTime, 0, 100*sim.Millisecond)
 	r.Sent(p)
 	r.Delivered(p, 150*sim.Millisecond)
@@ -26,7 +27,7 @@ func TestRecorderSentDelivered(t *testing.T) {
 	if f.Sent != 1 || f.Delivered != 1 || f.Lost() != 0 {
 		t.Fatalf("flow stats: %+v", f)
 	}
-	if len(f.Delays) != 1 || f.Delays[0].Delay != 50*sim.Millisecond {
+	if len(f.Delays) != 1 || f.Delays[0] != (DelaySample{Seq: 0, At: 150 * sim.Millisecond, Delay: 50 * sim.Millisecond}) {
 		t.Fatalf("delay sample wrong: %+v", f.Delays)
 	}
 	if f.Class != inet.ClassRealTime {
@@ -137,16 +138,19 @@ func TestRecorderFlowsSorted(t *testing.T) {
 	}
 }
 
+// deliverDelays feeds one flow a delivery per delay, through Delivered.
+func deliverDelays(r *Recorder, flow inet.FlowID, delays ...sim.Time) *FlowStats {
+	for i, d := range delays {
+		r.Delivered(pkt(flow, inet.ClassBestEffort, uint32(i), 0), d)
+	}
+	return r.Flow(flow)
+}
+
 func TestFlowDelayAggregates(t *testing.T) {
-	f := &FlowStats{}
-	if f.MaxDelay() != 0 || f.MeanDelay() != 0 {
+	if f := (&FlowStats{}); f.MaxDelay() != 0 || f.MeanDelay() != 0 {
 		t.Fatal("empty flow aggregates not zero")
 	}
-	f.Delays = []DelaySample{
-		{Delay: 10 * sim.Millisecond},
-		{Delay: 30 * sim.Millisecond},
-		{Delay: 20 * sim.Millisecond},
-	}
+	f := deliverDelays(NewRecorder(), 1, 10*sim.Millisecond, 30*sim.Millisecond, 20*sim.Millisecond)
 	if f.MaxDelay() != 30*sim.Millisecond {
 		t.Fatalf("MaxDelay = %v", f.MaxDelay())
 	}
@@ -280,13 +284,11 @@ func TestDelayPercentile(t *testing.T) {
 }
 
 func TestJitter(t *testing.T) {
-	f := &FlowStats{}
-	if f.Jitter() != 0 {
+	if (&FlowStats{}).Jitter() != 0 {
 		t.Fatal("jitter of empty flow not zero")
 	}
-	for _, d := range []sim.Time{10, 20, 10, 30} {
-		f.Delays = append(f.Delays, DelaySample{Delay: d * sim.Millisecond})
-	}
+	const ms = sim.Millisecond
+	f := deliverDelays(NewRecorder(), 1, 10*ms, 20*ms, 10*ms, 30*ms)
 	// |20-10| + |10-20| + |30-10| = 40ms over 3 intervals.
 	if got := f.Jitter(); got != 40*sim.Millisecond/3 {
 		t.Fatalf("Jitter = %v, want %v", got, 40*sim.Millisecond/3)
