@@ -6,8 +6,6 @@
 package mip
 
 import (
-	"sort"
-
 	"repro/internal/inet"
 	"repro/internal/sim"
 )
@@ -27,7 +25,7 @@ type Binding struct {
 }
 
 // BindingCache is a lifetime-aware binding table. Expiry is lazy: Lookup
-// ignores lapsed entries and Purge removes them.
+// ignores lapsed entries, and Update or Remove replaces or deletes them.
 type BindingCache struct {
 	entries map[inet.Addr]Binding
 }
@@ -37,7 +35,7 @@ func NewBindingCache() *BindingCache {
 	return &BindingCache{entries: make(map[inet.Addr]Binding)}
 }
 
-// Len returns the number of entries, including lapsed ones not yet purged.
+// Len returns the number of entries, including lapsed ones.
 func (c *BindingCache) Len() int { return len(c.entries) }
 
 // Update installs or refreshes a binding. It returns false when a fresher
@@ -62,35 +60,6 @@ func (c *BindingCache) Lookup(key inet.Addr, now sim.Time) (Binding, bool) {
 
 // Remove deletes a binding (deregistration: a zero-lifetime update).
 func (c *BindingCache) Remove(key inet.Addr) { delete(c.entries, key) }
-
-// Purge drops all lapsed entries and reports how many were removed.
-func (c *BindingCache) Purge(now sim.Time) int {
-	removed := 0
-	for k, b := range c.entries {
-		if b.Expires <= now {
-			delete(c.entries, k)
-			removed++
-		}
-	}
-	return removed
-}
-
-// Entries returns a deterministic (key-sorted) snapshot of live entries.
-func (c *BindingCache) Entries(now sim.Time) []Binding {
-	out := make([]Binding, 0, len(c.entries))
-	for _, b := range c.entries {
-		if b.Expires > now {
-			out = append(out, b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Net != out[j].Key.Net {
-			return out[i].Key.Net < out[j].Key.Net
-		}
-		return out[i].Key.Host < out[j].Key.Host
-	})
-	return out
-}
 
 // seqLess compares binding sequence numbers modulo 2^16 (RFC 3775 §9.5.1
 // style serial arithmetic).

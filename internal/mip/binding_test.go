@@ -75,31 +75,8 @@ func TestBindingCacheRemovePurge(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after Remove, want 1", c.Len())
 	}
-	if got := c.Purge(15 * sim.Second); got != 0 {
-		t.Fatalf("Purge removed %d, want 0", got)
-	}
-	if got := c.Purge(25 * sim.Second); got != 1 {
-		t.Fatalf("Purge removed %d, want 1", got)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after purge, want 0", c.Len())
-	}
-}
-
-func TestBindingCacheEntriesSorted(t *testing.T) {
-	c := NewBindingCache()
-	c.Update(addr(7, 2), addr(1, 1), 1, sim.Second, 0)
-	c.Update(addr(5, 9), addr(1, 2), 1, sim.Second, 0)
-	c.Update(addr(5, 1), addr(1, 3), 1, sim.Second, 0)
-	entries := c.Entries(0)
-	if len(entries) != 3 {
-		t.Fatalf("Entries = %d, want 3", len(entries))
-	}
-	want := []inet.Addr{addr(5, 1), addr(5, 9), addr(7, 2)}
-	for i, b := range entries {
-		if b.Key != want[i] {
-			t.Fatalf("entry %d = %v, want %v", i, b.Key, want[i])
-		}
+	if _, ok := c.Lookup(addr(5, 1), 0); ok {
+		t.Fatal("removed binding still found")
 	}
 }
 

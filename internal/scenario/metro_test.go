@@ -177,6 +177,28 @@ func TestMetroPacketPoolBoundedByInFlight(t *testing.T) {
 	}
 }
 
+// TestMetroPoolsStayBalanced runs a 200-host cell per variant at the
+// default stagger, where tunnels to a host's old care-of address reach
+// the PAR or NAR after its handoff session ended and find no route. The
+// routers hand those chains back to the pool, so after the drain every
+// packet handed out has come back: Σ(Gets − Puts) = 0.
+func TestMetroPoolsStayBalanced(t *testing.T) {
+	for _, scheme := range []core.Scheme{core.SchemeFHOriginal, core.SchemeDual, core.SchemeSafetyNet} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			tb := runMetroTestbed(MetroParams{PoolSize: 240, Seed: 1}, scheme, 12, 200)
+			noRoute := tb.PAR.Router().NoRouteDrops() + tb.NAR.Router().NoRouteDrops()
+			if noRoute == 0 {
+				t.Fatal("no packet met a missing route, so the check below proves nothing")
+			}
+			st := tb.Topo.PoolStats()
+			if st.Gets != st.Puts {
+				t.Fatalf("%d packets handed out, %d recycled after the drain (%d no-route drops)",
+					st.Gets, st.Puts, noRoute)
+			}
+		})
+	}
+}
+
 // TestMetroNARCellFullPrecision pins the seed-1 NAR-only cell of RunMetro
 // at 1000 hosts. The metro render rounds delays to three decimals of a
 // millisecond, so a change that moves deliveries by a few nanoseconds (an

@@ -283,6 +283,11 @@ func NewTestbed(p Params) *Testbed {
 			topo.ReleasePacket(p)
 		}
 	}
+	// No-route drops are tunnels to a host's old care-of address that
+	// arrive after its handoff session ended. The flow already counts them
+	// as lost, so they are recycled without charging a drop site.
+	parRouter.NoRoute = releaseUDPChain
+	narRouter.NoRoute = releaseUDPChain
 	for _, ar := range []*core.AccessRouter{par, nar} {
 		ar.OnDrop = func(pkt *inet.Packet, where string) {
 			recorder.Dropped(pkt, where)
