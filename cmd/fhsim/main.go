@@ -13,11 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/handover"
 	"repro/internal/prof"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -66,6 +68,14 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
+	switch {
+	case *hosts < 1:
+		return fmt.Errorf("-hosts %d: need at least one host", *hosts)
+	case *interval <= 0:
+		return fmt.Errorf("-interval %v: must be positive", *interval)
+	case *size <= 0:
+		return fmt.Errorf("-size %d: must be positive", *size)
+	}
 	flows, err := parseClasses(*classes, *size, *interval)
 	if err != nil {
 		return err
@@ -75,7 +85,7 @@ func run(args []string, out *os.File) error {
 	if *authKey != "" {
 		key = []byte(*authKey)
 	}
-	sim := handover.New(handover.Config{
+	cfg := handover.Config{
 		Scheme:               scheme,
 		RouterBufferPackets:  *pool,
 		Alpha:                *alpha,
@@ -89,7 +99,11 @@ func run(args []string, out *os.File) error {
 		HysteresisDB:         *hysteresis,
 		ControlLossRate:      *loss,
 		Seed:                 *seed,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	sim := handover.New(cfg)
 	for i := 0; i < *hosts; i++ {
 		sim.AddMobileHost(handover.LinearPath(50, 10), flows...)
 	}
@@ -173,10 +187,30 @@ func printReport(out *os.File, report handover.Report) {
 	}
 	if len(report.DropsByLocation) > 0 {
 		fmt.Fprintf(out, "\ndrops by location:\n")
-		for _, where := range []string{"par-buffer", "nar-buffer", "par-policy", "lifetime", "air"} {
-			if n, ok := report.DropsByLocation[where]; ok {
-				fmt.Fprintf(out, "  %-12s%6d\n", where, n)
-			}
+		for _, where := range dropSites(report.DropsByLocation) {
+			fmt.Fprintf(out, "  %-12s%6d\n", where, report.DropsByLocation[where])
 		}
 	}
+}
+
+// dropSites orders a report's drop sites: the canonical ones in the stats
+// package's order, then any others by name.
+func dropSites(drops map[string]uint64) []string {
+	rank := func(where string) int {
+		if id, ok := stats.LookupSite(where); ok && id <= stats.SiteAirUplink {
+			return int(id)
+		}
+		return int(stats.SiteAirUplink) + 1
+	}
+	sites := make([]string, 0, len(drops))
+	for where := range drops {
+		sites = append(sites, where)
+	}
+	sort.Slice(sites, func(i, j int) bool {
+		if ri, rj := rank(sites[i]), rank(sites[j]); ri != rj {
+			return ri < rj
+		}
+		return sites[i] < sites[j]
+	})
+	return sites
 }

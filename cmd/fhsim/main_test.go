@@ -23,6 +23,22 @@ func TestRunTable(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
+
+	// A hundred hosts overflow the wired queues: the table prints every
+	// drop site the report carries, the link queue's among them.
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-hosts", "100", "-duration", "8s"}, f); err != nil {
+		t.Fatalf("run -hosts 100: %v", err)
+	}
+	data, _ = os.ReadFile(f.Name())
+	if !strings.Contains(string(data), "\n  link-queue ") {
+		t.Errorf("-hosts 100 table has no link-queue row:\n%s", data)
+	}
 }
 
 func TestRunJSON(t *testing.T) {
@@ -64,7 +80,16 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	if err := run([]string{"-scheme", "bogus"}, devnull); err == nil {
-		t.Fatal("bogus scheme flag accepted")
+	for _, args := range [][]string{
+		{"-scheme", "bogus"},
+		{"-pool", "2"},     // α 2 ≥ pool 2 would refuse every best-effort packet
+		{"-interval", "0"}, // a CBR source needs a positive interval
+		{"-loss", "1.5"},   // a probability
+		{"-hosts", "0"},    // nothing to simulate
+		{"-size", "0"},     // zero-byte packets
+	} {
+		if err := run(args, devnull); err == nil {
+			t.Errorf("run(%q) accepted a bad flag", args)
+		}
 	}
 }

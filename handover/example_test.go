@@ -79,22 +79,24 @@ func ExampleNewWLAN() {
 	// buffered=true timeouts=0
 }
 
-// Walking a corridor of access routers: the roles re-cast at every
-// boundary.
-func ExampleNewCorridor() {
-	sim := handover.NewCorridor(handover.CorridorConfig{
+// Walking a corridor of four access routers: the roles re-cast at every
+// boundary. The host walks from 50 m into the first cell to 60 m past the
+// last access point (3 × 212 m + 10 m at 10 m/s).
+func ExampleNew_corridor() {
+	sim := handover.New(handover.Config{
 		Routers:              4,
 		Scheme:               handover.Enhanced,
 		RouterBufferPackets:  40,
 		Alpha:                2,
 		BufferRequestPackets: 20,
 		Seed:                 1,
-	}, handover.AudioFlow(handover.HighPriority))
-	if err := sim.Run(); err != nil {
+	})
+	sim.AddMobileHost(handover.LinearPath(50, 10), handover.AudioFlow(handover.HighPriority))
+	if err := sim.Run(64600 * time.Millisecond); err != nil {
 		panic(err)
 	}
 	rep := sim.Report()
-	fmt.Printf("handoffs: %d, lost: %d\n", len(rep.Handoffs), rep.Lost)
+	fmt.Printf("handoffs: %d, lost: %d\n", len(rep.Handoffs), rep.TotalLost())
 	// Output:
 	// handoffs: 3, lost: 0
 }

@@ -7,9 +7,9 @@
 //
 // A Simulation assembles the paper's reference network — a correspondent
 // node, a Hierarchical Mobile IPv6 mobility anchor point, two access
-// routers with one 802.11-style access point each — and lets the caller
-// place mobile hosts with deterministic motion and constant-bit-rate flows
-// on it:
+// routers (or a longer row, Config.Routers) with one 802.11-style access
+// point each — and lets the caller place mobile hosts with deterministic
+// motion and constant-bit-rate flows on it:
 //
 //	sim := handover.New(handover.Config{
 //		Scheme:               handover.Enhanced,
@@ -27,6 +27,7 @@
 package handover
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -84,7 +85,12 @@ const (
 // Config parameterizes the reference network. Zero values select the
 // paper's settings.
 type Config struct {
-	// Scheme is the buffering scheme on both access routers (default
+	// Routers is the number of access routers in the row (default 2, the
+	// paper's previous and new router; at most 48). They sit 212 m apart
+	// with one access point each, all under the one mobility anchor
+	// point, so a host walking the row hands off at every boundary.
+	Routers int
+	// Scheme is the buffering scheme on every access router (default
 	// Enhanced).
 	Scheme Scheme
 	// RouterBufferPackets is each access router's handover buffer pool
@@ -96,8 +102,8 @@ type Config struct {
 	// BufferRequestPackets is the per-handoff buffer space each mobile
 	// host requests from each router. Zero disables buffering requests.
 	BufferRequestPackets int
-	// ARLinkDelay is the direct previous-router↔new-router link delay
-	// (default 2 ms; the paper also evaluates 50 ms).
+	// ARLinkDelay is the delay of the direct link between neighbouring
+	// routers (default 2 ms; the paper also evaluates 50 ms).
 	ARLinkDelay time.Duration
 	// L2HandoffDelay is the link-layer blackout (default 200 ms; measured
 	// 60–400 ms in the paper's references).
@@ -151,7 +157,8 @@ func AudioFlow(class Class) Flow {
 }
 
 // Motion is a deterministic trajectory along the one-dimensional track the
-// access points sit on (previous AP at 0 m, new AP at 212 m).
+// access points sit on (previous AP at 0 m, new AP at 212 m, any further
+// ones every 212 m after).
 type Motion = wireless.Motion
 
 // Stationary keeps the host at a fixed position.
@@ -174,13 +181,38 @@ type Simulation struct {
 	traceLog *trace.Log
 }
 
-// New assembles the reference network.
+// Validate reports the first setting New cannot build: a negative buffer
+// pool or α, an α that would refuse every best-effort packet, a loss rate
+// outside [0,1], or a row that is not 2 to 48 routers long.
+func (c Config) Validate() error {
+	if c.Scheme != 0 && !c.Scheme.Valid() {
+		return fmt.Errorf("handover: unknown scheme %d", c.Scheme)
+	}
+	if err := (core.ARConfig{PoolSize: c.RouterBufferPackets, Alpha: c.Alpha}).Validate(); err != nil {
+		return err
+	}
+	if c.ControlLossRate < 0 || c.ControlLossRate > 1 {
+		return fmt.Errorf("handover: control loss rate %g outside [0,1]", c.ControlLossRate)
+	}
+	// Router i owns net NetPAR+i, so a longer row would claim the MAP's.
+	if most := int(scenario.NetMAP - scenario.NetPAR); c.Routers < 0 || c.Routers == 1 || c.Routers > most {
+		return fmt.Errorf("handover: %d routers; the row takes 2 to %d (0 selects 2)", c.Routers, most)
+	}
+	return nil
+}
+
+// New assembles the reference network. It panics with Validate's error on
+// a config it cannot build.
 func New(cfg Config) *Simulation {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	mobility := core.MobilityFastHandover
 	if cfg.PlainMobileIP {
 		mobility = core.MobilityPlainMIP
 	}
 	return &Simulation{tb: scenario.NewTestbed(scenario.Params{
+		Routers:         cfg.Routers,
 		Scheme:          cfg.Scheme,
 		PoolSize:        cfg.RouterBufferPackets,
 		Alpha:           cfg.Alpha,

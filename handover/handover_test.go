@@ -280,15 +280,16 @@ func TestReportDelayAggregates(t *testing.T) {
 }
 
 func TestCorridorPublicAPI(t *testing.T) {
-	sim := handover.NewCorridor(handover.CorridorConfig{
+	sim := handover.New(handover.Config{
 		Routers:              4,
 		Scheme:               handover.Enhanced,
 		RouterBufferPackets:  40,
 		Alpha:                2,
 		BufferRequestPackets: 20,
 		Seed:                 1,
-	}, handover.AudioFlow(handover.HighPriority))
-	if err := sim.Run(); err != nil {
+	})
+	sim.AddMobileHost(handover.LinearPath(50, 10), handover.AudioFlow(handover.HighPriority))
+	if err := sim.Run(64600 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	rep := sim.Report()
@@ -300,9 +301,36 @@ func TestCorridorPublicAPI(t *testing.T) {
 			t.Errorf("handoff %d: %+v", i, h)
 		}
 	}
-	if rep.Lost != 0 {
-		t.Errorf("lost %d of %d across the corridor", rep.Lost, rep.Sent)
+	if f := rep.Flows[0]; f.Lost != 0 {
+		t.Errorf("lost %d of %d across the corridor", f.Lost, f.Sent)
 	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, ok := range []handover.Config{{}, {Routers: 2}, {Routers: 48}, {RouterBufferPackets: 40, Alpha: 2}, {ControlLossRate: 1}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", ok, err)
+		}
+	}
+	for _, bad := range []handover.Config{
+		{RouterBufferPackets: 2, Alpha: 2},
+		{RouterBufferPackets: -1},
+		{ControlLossRate: 1.5},
+		{ControlLossRate: -0.1},
+		{Routers: 1},
+		{Routers: 49},
+		{Scheme: 99},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted a config New cannot build", bad)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New built a row that claims the MAP's net")
+		}
+	}()
+	handover.New(handover.Config{Routers: 49})
 }
 
 func TestTraceAPI(t *testing.T) {

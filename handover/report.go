@@ -3,6 +3,7 @@ package handover
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -47,7 +48,8 @@ type Report struct {
 	Flows    []FlowReport
 	Handoffs []HandoffReport
 	// DropsByLocation counts recorded drops by site: "par-buffer",
-	// "nar-buffer", "par-policy", "lifetime", "air".
+	// "nar-buffer", "par-policy", "lifetime", "air", "link-queue",
+	// "air-uplink".
 	DropsByLocation map[string]uint64
 }
 
@@ -74,34 +76,12 @@ func (s *Simulation) Report() Report {
 	rep := Report{DropsByLocation: make(map[string]uint64)}
 	for hi, h := range s.hosts {
 		for fi, id := range h.unit.Flows {
-			f := s.tb.Recorder.Flow(id)
-			if f == nil {
-				continue
+			if f := s.tb.Recorder.Flow(id); f != nil {
+				rep.Flows = append(rep.Flows, flowReport(hi, fi, f))
 			}
-			rep.Flows = append(rep.Flows, FlowReport{
-				Host:      hi,
-				Index:     fi,
-				Class:     f.Class,
-				Sent:      f.Sent,
-				Delivered: f.Delivered,
-				Lost:      f.Lost(),
-				MaxDelay:  time.Duration(f.MaxDelay()),
-				MeanDelay: time.Duration(f.MeanDelay()),
-				P99Delay:  time.Duration(f.DelayPercentile(99)),
-				Jitter:    time.Duration(f.Jitter()),
-			})
 		}
 		for _, rec := range h.unit.MH.Handoffs() {
-			rep.Handoffs = append(rep.Handoffs, HandoffReport{
-				Host:          hi,
-				Triggered:     time.Duration(rec.Triggered),
-				Detached:      time.Duration(rec.Detached),
-				Attached:      time.Duration(rec.Attached),
-				Anticipated:   rec.Anticipated,
-				LinkLayerOnly: rec.LinkLayerOnly,
-				NARGranted:    rec.NARGranted,
-				PARGranted:    rec.PARGranted,
-			})
+			rep.Handoffs = append(rep.Handoffs, handoffReport(hi, rec))
 		}
 	}
 	for site, n := range s.tb.Recorder.SiteDrops() {
@@ -112,19 +92,42 @@ func (s *Simulation) Report() Report {
 	return rep
 }
 
-// Handoffs returns this host's completed handoffs.
+// flowReport summarizes one flow's statistics.
+func flowReport(host, index int, f *stats.FlowStats) FlowReport {
+	return FlowReport{
+		Host:      host,
+		Index:     index,
+		Class:     f.Class,
+		Sent:      f.Sent,
+		Delivered: f.Delivered,
+		Lost:      f.Lost(),
+		MaxDelay:  time.Duration(f.MaxDelay()),
+		MeanDelay: time.Duration(f.MeanDelay()),
+		P99Delay:  time.Duration(f.DelayPercentile(99)),
+		Jitter:    time.Duration(f.Jitter()),
+	}
+}
+
+// handoffReport describes one completed handoff of the given host.
+func handoffReport(host int, rec core.HandoffRecord) HandoffReport {
+	return HandoffReport{
+		Host:          host,
+		Triggered:     time.Duration(rec.Triggered),
+		Detached:      time.Duration(rec.Detached),
+		Attached:      time.Duration(rec.Attached),
+		Anticipated:   rec.Anticipated,
+		LinkLayerOnly: rec.LinkLayerOnly,
+		NARGranted:    rec.NARGranted,
+		PARGranted:    rec.PARGranted,
+	}
+}
+
+// Handoffs returns this host's completed handoffs. Their Host field is
+// left zero.
 func (h *Host) Handoffs() []HandoffReport {
 	var out []HandoffReport
 	for _, rec := range h.unit.MH.Handoffs() {
-		out = append(out, HandoffReport{
-			Triggered:     time.Duration(rec.Triggered),
-			Detached:      time.Duration(rec.Detached),
-			Attached:      time.Duration(rec.Attached),
-			Anticipated:   rec.Anticipated,
-			LinkLayerOnly: rec.LinkLayerOnly,
-			NARGranted:    rec.NARGranted,
-			PARGranted:    rec.PARGranted,
-		})
+		out = append(out, handoffReport(0, rec))
 	}
 	return out
 }
@@ -140,6 +143,8 @@ func (h *Host) ReleaseLinkBuffering() bool { return h.unit.MH.ReleaseLinkBufferi
 // InitiateHandover asks the infrastructure to move the host to the other
 // access router — the network-initiated handover mode of the fast-handover
 // protocol (the paper's evaluation only uses host-initiated handovers).
+// It works between the first two routers of the row only: a host on the
+// previous router moves to the new one, and a host on the new router back.
 // The host must have heard the target's beacons for the unsolicited
 // advertisement to be accepted. bufferPackets is the buffer space the
 // network reserves on the host's behalf.
@@ -150,7 +155,8 @@ func (s *Simulation) InitiateHandover(h *Host, bufferPackets int) bool {
 	return s.tb.NAR.InitiateHandover(h.unit.MH.LCoA(), "ap-par", bufferPackets)
 }
 
-// FlowStats returns the report for one of this host's flows.
+// FlowStats returns the report for one of this host's flows. Its Host
+// field is left zero.
 func (h *Host) FlowStats(index int) (FlowReport, bool) {
 	if index < 0 || index >= len(h.unit.Flows) {
 		return FlowReport{}, false
@@ -159,15 +165,5 @@ func (h *Host) FlowStats(index int) (FlowReport, bool) {
 	if f == nil {
 		return FlowReport{}, false
 	}
-	return FlowReport{
-		Index:     index,
-		Class:     f.Class,
-		Sent:      f.Sent,
-		Delivered: f.Delivered,
-		Lost:      f.Lost(),
-		MaxDelay:  time.Duration(f.MaxDelay()),
-		MeanDelay: time.Duration(f.MeanDelay()),
-		P99Delay:  time.Duration(f.DelayPercentile(99)),
-		Jitter:    time.Duration(f.Jitter()),
-	}, true
+	return flowReport(0, index, f), true
 }

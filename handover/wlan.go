@@ -71,15 +71,7 @@ func (s *TCPSimulation) Report() TCPReport {
 		FastRetransmits: s.tb.Sender.FastRetransmits(),
 	}
 	for _, rec := range s.tb.MH.Handoffs() {
-		rep.Handoffs = append(rep.Handoffs, HandoffReport{
-			Triggered:     time.Duration(rec.Triggered),
-			Detached:      time.Duration(rec.Detached),
-			Attached:      time.Duration(rec.Attached),
-			Anticipated:   rec.Anticipated,
-			LinkLayerOnly: rec.LinkLayerOnly,
-			NARGranted:    rec.NARGranted,
-			PARGranted:    rec.PARGranted,
-		})
+		rep.Handoffs = append(rep.Handoffs, handoffReport(0, rec))
 	}
 	return rep
 }

@@ -222,6 +222,7 @@ type cityDomain struct {
 	topo     *netsim.Topology
 	medium   *wireless.Medium
 	recorder *stats.Recorder
+	sink     *sink
 	anchor   *cityMAP
 
 	cn       *netsim.Host
@@ -258,21 +259,6 @@ type city struct {
 	group    *sim.ShardGroup
 	maps     []*cityMAP
 	domains  []*cityDomain
-}
-
-// releaseChain recycles a dead UDP chain into the given topology's pool:
-// the pool of the shard the packet died on, which is not always the shard
-// it was born on (the anchor's tunnel wrappers die in the domains). Only
-// the shard running the release touches that pool, and the exchange moves
-// free packets back to where they are needed at the barrier, when every
-// shard is parked, so this is race-free.
-func releaseChain(topo *netsim.Topology, pkt *inet.Packet) {
-	if pkt.Innermost().Proto != inet.ProtoUDP {
-		return
-	}
-	for p := pkt; p != nil; p = p.Inner {
-		topo.ReleasePacket(p)
-	}
 }
 
 // newCity builds the partitioned topology. Construction is single-threaded
@@ -349,14 +335,6 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	cn := netsim.NewHost(fmt.Sprintf("cn%d", d), inet.Addr{Net: cnNet, Host: 1})
 	parRouter := netsim.NewRouter(fmt.Sprintf("par%d", d), inet.Addr{Net: parNet, Host: 1})
 	narRouter := netsim.NewRouter(fmt.Sprintf("nar%d", d), inet.Addr{Net: narNet, Host: 1})
-	// A packet with no route has already counted as lost to its flow
-	// (sent, never delivered); its chain only goes back to the pool. The
-	// PAR meets them when an anchor tunnel to a departed care-of address
-	// arrives after the handoff session has ended.
-	for _, r := range []*netsim.Router{parRouter, narRouter} {
-		r.NoRoute = func(pkt *inet.Packet) { releaseChain(topo, pkt) }
-	}
-
 	arLink := topo.Connect(parRouter, narRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
 	apPAR := wireless.NewAccessPoint(fmt.Sprintf("ap%d-par", d), medium, wireless.APConfig{
 		Pos: 0, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
@@ -411,45 +389,14 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	par.AddAP(apPAR.Name(), parAPLink.A())
 	nar.AddAP(apNAR.Name(), narAPLink.A())
 
-	for _, ar := range []*core.AccessRouter{par, nar} {
-		ar.OnDrop = func(pkt *inet.Packet, where string) {
-			recorder.Dropped(pkt, where)
-			releaseChain(topo, pkt)
-		}
-		ar.OnBicastDiscard = func(pkt *inet.Packet) {
-			recorder.DedupDiscardNAR()
-			releaseChain(topo, pkt)
-		}
-	}
-	dataAirDrop := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteAir)
-		}
-		releaseChain(topo, pkt)
-	}
-	apPAR.AirDropHook = dataAirDrop
-	apNAR.AirDropHook = dataAirDrop
-	topo.HookDrops(func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteLinkQueue)
-		}
-		releaseChain(topo, pkt)
-	})
+	s := &sink{topo: topo, rec: recorder}
+	s.wireAccess([]*netsim.Router{parRouter, narRouter}, []*core.AccessRouter{par, nar},
+		[]*wireless.AccessPoint{apPAR, apNAR})
 	// Tail drops on the domain side of the cross links are charged to the
 	// domain's recorder (the sending event runs on this shard); the MAP
 	// side's belong to the MAP's recorder.
-	domainDrop := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteLinkQueue)
-		}
-		releaseChain(topo, pkt)
-	}
-	mapDrop := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			anchor.recorder.DroppedSite(pkt, stats.SiteLinkQueue)
-		}
-		releaseChain(anchor.topo, pkt)
-	}
+	domainDrop := s.at(stats.SiteLinkQueue)
+	mapDrop := (&sink{topo: anchor.topo, rec: anchor.recorder}).at(stats.SiteLinkQueue)
 	for _, l := range []*netsim.Link{cnMAP, parMAP, narMAP} {
 		l.A().DropHook = domainDrop
 		l.B().DropHook = mapDrop
@@ -463,7 +410,7 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 
 	return &cityDomain{
 		shard: shard, engine: engine, topo: topo, medium: medium,
-		recorder: recorder, anchor: anchor,
+		recorder: recorder, sink: s, anchor: anchor,
 		cn: cn, par: par, nar: nar, apPAR: apPAR, apNAR: apNAR,
 		parAPL: parAPLink,
 		wired:  [...]*netsim.Link{cnMAP, parMAP, narMAP, arLink, parAPLink, narAPLink},
@@ -487,13 +434,6 @@ func (c *city) addHost(dom *cityDomain, i int, rcoaHost inet.HostID) {
 			AirDelay:       sim.Millisecond,
 			L2HandoffDelay: 200 * sim.Millisecond,
 		})
-	// Station-side uplink losses mirror the APs' AirDropHook accounting.
-	station.TxDropHook = func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			dom.recorder.DroppedSite(pkt, stats.SiteAirUplink)
-		}
-		releaseChain(dom.topo, pkt)
-	}
 	mh := core.NewMobileHost(dom.engine, station, rcoa, dom.anchor.router.Addr(), core.MHConfig{
 		HostID:        inet.HostID(10 + i),
 		Scheme:        p.Scheme,
@@ -504,26 +444,8 @@ func (c *city) addHost(dom *cityDomain, i int, rcoaHost inet.HostID) {
 	dom.anchor.agent.Register(rcoa, mh.LCoA(), 3600*sim.Second)
 	mh.StartRegistration()
 
-	sink := traffic.Sink(dom.engine, dom.recorder)
-	topo := dom.topo
-	mh.OnDeliver = func(pkt *inet.Packet) {
-		sink(pkt)
-		if pkt.Proto == inet.ProtoUDP {
-			topo.ReleasePacket(pkt)
-		}
-	}
-	mh.ReleaseTunnel = func(outer, inner *inet.Packet) {
-		for q := outer; q != nil && q != inner; q = q.Inner {
-			topo.ReleasePacket(q)
-		}
-	}
-	recorder := dom.recorder
-	mh.OnDuplicate = func(pkt *inet.Packet) {
-		recorder.DedupDiscardMH()
-		if pkt.Proto == inet.ProtoUDP {
-			topo.ReleasePacket(pkt)
-		}
-	}
+	topo, recorder := dom.topo, dom.recorder
+	dom.sink.wireHost(station, mh, traffic.Sink(dom.engine, recorder))
 
 	flowID := topo.NewFlowID()
 	src := traffic.NewCBR(dom.engine, traffic.CBRConfig{

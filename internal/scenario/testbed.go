@@ -33,7 +33,14 @@ const (
 // Params configures the Figure 4.1 testbed. Zero values select the thesis'
 // settings.
 type Params struct {
-	// Scheme selects the buffering behaviour on both access routers.
+	// Routers is the number of access routers in the row (default 2, the
+	// thesis' PAR and NAR; at most NetMAP−NetPAR). Router i is named par,
+	// nar, ar2, ar3, …, owns net NetPAR+i and has one access point, named
+	// "ap-" plus its name, at i·APDistance. Neighbours are linked directly
+	// with ARLinkDelay; a host walking the row hands off at every boundary,
+	// the protocol re-casting the PAR and NAR roles each time.
+	Routers int
+	// Scheme selects the buffering behaviour on every access router.
 	Scheme core.Scheme
 	// PoolSize is each access router's buffer pool in packets (e.g. 40 for
 	// the original fast handover runs, 20 for the proposed scheme).
@@ -42,8 +49,8 @@ type Params struct {
 	Alpha int
 	// BufferRequest is each mobile host's BI size. Zero requests nothing.
 	BufferRequest int
-	// ARLinkDelay is the PAR–NAR link delay (2 ms in most figures, 50 ms
-	// in Figure 4.10).
+	// ARLinkDelay is each neighbour link's delay, the PAR–NAR link's among
+	// them (2 ms in most figures, 50 ms in Figure 4.10).
 	ARLinkDelay sim.Time
 	// L2HandoffDelay is the blackout (200 ms in the thesis).
 	L2HandoffDelay sim.Time
@@ -93,6 +100,9 @@ type Params struct {
 }
 
 func (p *Params) applyDefaults() {
+	if p.Routers == 0 {
+		p.Routers = 2
+	}
 	if p.Scheme == 0 {
 		p.Scheme = core.SchemeEnhanced
 	}
@@ -149,7 +159,8 @@ type MHUnit struct {
 	Flows   []inet.FlowID
 }
 
-// Testbed is the assembled Figure 4.1 network.
+// Testbed is the assembled Figure 4.1 network: a row of access routers
+// under one MAP, the first two of which are the thesis' PAR and NAR.
 type Testbed struct {
 	Params   Params
 	Engine   *sim.Engine
@@ -158,21 +169,21 @@ type Testbed struct {
 	Recorder *stats.Recorder
 	RNG      *sim.RNG
 
-	CN     *netsim.Host
-	MAP    *mip.Agent
-	Home   *mip.Agent
-	PAR    *core.AccessRouter
-	NAR    *core.AccessRouter
-	APPAR  *wireless.AccessPoint
-	APNAR  *wireless.AccessPoint
-	MHs    []*MHUnit
-	parAPL *netsim.Link
-	narAPL *netsim.Link
-	arLink *netsim.Link
+	CN   *netsim.Host
+	MAP  *mip.Agent
+	Home *mip.Agent
+	// ARs and APs are the row's access routers and their access points,
+	// in order; PAR, NAR, APPAR and APNAR are their first two entries.
+	ARs   []*core.AccessRouter
+	APs   []*wireless.AccessPoint
+	PAR   *core.AccessRouter
+	NAR   *core.AccessRouter
+	APPAR *wireless.AccessPoint
+	APNAR *wireless.AccessPoint
+	MHs   []*MHUnit
 
-	// releaseUDP recycles a dead UDP data chain into the topology's pool;
-	// AddMobileHost chains it behind each station's TxDropHook.
-	releaseUDP func(pkt *inet.Packet)
+	apLinks []*netsim.Link
+	sink    *sink
 
 	// Faults is the control-plane loss injector, nil unless
 	// Params.ControlLossRate is positive.
@@ -182,6 +193,9 @@ type Testbed struct {
 // NewTestbed assembles the reference topology with no mobile hosts yet.
 func NewTestbed(p Params) *Testbed {
 	p.applyDefaults()
+	if p.Routers < 2 || p.Routers > int(NetMAP-NetPAR) {
+		panic(fmt.Sprintf("scenario: a row of %d access routers; it takes 2 to %d", p.Routers, NetMAP-NetPAR))
+	}
 	engine := p.Engine
 	if engine == nil {
 		engine = sim.NewEngine()
@@ -192,40 +206,51 @@ func NewTestbed(p Params) *Testbed {
 	medium := wireless.NewMedium(engine)
 	rng := sim.NewRNG(p.Seed)
 
+	// The construction order (links, net claims, beacon phases, fault
+	// streams) is fixed: it decides every sequence number and random draw.
 	cn := netsim.NewHost("cn", inet.Addr{Net: NetCN, Host: 1})
 	mapRouter := netsim.NewRouter("map", inet.Addr{Net: NetMAP, Host: 1})
-	parRouter := netsim.NewRouter("par", inet.Addr{Net: NetPAR, Host: 1})
-	narRouter := netsim.NewRouter("nar", inet.Addr{Net: NetNAR, Host: 1})
-
 	topo.Connect(cn, mapRouter, netsim.LinkConfig{BandwidthBPS: coreBandwidth, Delay: 2 * sim.Millisecond})
-	topo.Connect(mapRouter, parRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
-	topo.Connect(mapRouter, narRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
-	arLink := topo.Connect(parRouter, narRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: p.ARLinkDelay})
-
-	apPAR := wireless.NewAccessPoint("ap-par", medium, wireless.APConfig{
-		Pos: 0, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
-		ReturnUndeliverable: true,
-	})
-	apNAR := wireless.NewAccessPoint("ap-nar", medium, wireless.APConfig{
-		Pos: APDistance, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
-		ReturnUndeliverable: true,
-	})
-	parAPLink := topo.Connect(parRouter, apPAR, netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
-	narAPLink := topo.Connect(narRouter, apNAR, netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
-
 	topo.ClaimNet(NetCN, cn)
 	topo.ClaimNet(NetMAP, mapRouter)
-	topo.ClaimNet(NetPAR, parRouter)
-	topo.ClaimNet(NetNAR, narRouter)
+	routers := make([]*netsim.Router, p.Routers)
+	for i := range routers {
+		name := fmt.Sprintf("ar%d", i)
+		if i < 2 {
+			name = [...]string{"par", "nar"}[i]
+		}
+		net := NetPAR + inet.NetID(i)
+		routers[i] = netsim.NewRouter(name, inet.Addr{Net: net, Host: 1})
+		topo.Connect(mapRouter, routers[i], netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
+		topo.ClaimNet(net, routers[i])
+	}
+	neighbours := make([]*netsim.Link, p.Routers-1)
+	for i := range neighbours {
+		neighbours[i] = topo.Connect(routers[i], routers[i+1], netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: p.ARLinkDelay})
+	}
+	aps := make([]*wireless.AccessPoint, p.Routers)
+	apLinks := make([]*netsim.Link, p.Routers)
+	for i, r := range routers {
+		aps[i] = wireless.NewAccessPoint("ap-"+r.Name(), medium, wireless.APConfig{
+			Pos: float64(i) * APDistance, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
+			ReturnUndeliverable: true,
+		})
+		apLinks[i] = topo.Connect(r, aps[i], netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
+	}
 	if err := topo.ComputeRoutes(); err != nil {
 		panic(fmt.Sprintf("scenario: route computation failed: %v", err))
 	}
 	// Inter-AR traffic (handover signalling and redirected packets) is
-	// pinned to the direct PAR–NAR link: the thesis varies that link's
-	// delay specifically, so it must stay on the path even when slower
-	// than the detour through the MAP.
-	parRouter.AddPrefixRoute(NetNAR, arLink.A())
-	narRouter.AddPrefixRoute(NetPAR, arLink.B())
+	// pinned to the direct neighbour links: the thesis varies the PAR–NAR
+	// link's delay specifically, so it must stay on the path even when
+	// slower than the detour through the MAP.
+	pinNeighbours := func() {
+		for i, l := range neighbours {
+			routers[i].AddPrefixRoute(NetPAR+inet.NetID(i+1), l.A())
+			routers[i+1].AddPrefixRoute(NetPAR+inet.NetID(i), l.B())
+		}
+	}
+	pinNeighbours()
 
 	agent := mip.NewAgent(engine, mapRouter, mip.AgentConfig{
 		ManagedNet: NetMAP,
@@ -242,9 +267,8 @@ func NewTestbed(p Params) *Testbed {
 		if err := topo.ComputeRoutes(); err != nil {
 			panic(fmt.Sprintf("scenario: home-agent route computation failed: %v", err))
 		}
-		// Re-pin the inter-AR route clobbered by the recomputation.
-		parRouter.AddPrefixRoute(NetNAR, arLink.A())
-		narRouter.AddPrefixRoute(NetPAR, arLink.B())
+		// Re-pin the inter-AR routes clobbered by the recomputation.
+		pinNeighbours()
 		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{
 			ManagedNet: NetHome,
 			Alloc:      topo.AllocPacket,
@@ -264,73 +288,30 @@ func NewTestbed(p Params) *Testbed {
 		Alloc:             topo.AllocPacket,
 		Release:           topo.ReleasePacket,
 	}
-	par := core.NewAccessRouter(engine, parRouter, NetPAR, dir, arCfg)
-	nar := core.NewAccessRouter(engine, narRouter, NetNAR, dir, arCfg)
-	par.AddAP("ap-par", parAPLink.A())
-	nar.AddAP("ap-nar", narAPLink.A())
+	ars := make([]*core.AccessRouter, p.Routers)
+	for i, r := range routers {
+		ars[i] = core.NewAccessRouter(engine, r, NetPAR+inet.NetID(i), dir, arCfg)
+		ars[i].AddAP(aps[i].Name(), apLinks[i].A())
+	}
 
-	// releaseUDPChain recycles a dead UDP data packet (and any tunnel
-	// wrappers around it) into the topology's pool. Only UDP data is
-	// recycled: control payloads stay off the pool so retransmission
-	// bookkeeping can never meet a recycled struct, and TCP is left to the
-	// garbage collector. The reclaim is deferred one event, so hooks
-	// chained after this one (tracing) still read the packet intact.
-	releaseUDPChain := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoUDP {
-			return
-		}
-		for p := pkt; p != nil; p = p.Inner {
-			topo.ReleasePacket(p)
-		}
-	}
-	// No-route drops are tunnels to a host's old care-of address that
-	// arrive after its handoff session ended. The flow already counts them
-	// as lost, so they are recycled without charging a drop site.
-	parRouter.NoRoute = releaseUDPChain
-	narRouter.NoRoute = releaseUDPChain
-	for _, ar := range []*core.AccessRouter{par, nar} {
-		ar.OnDrop = func(pkt *inet.Packet, where string) {
-			recorder.Dropped(pkt, where)
-			releaseUDPChain(pkt)
-		}
-		// SafetyNet: discarded hold-window copies are dedup events, not
-		// losses — count them and recycle the chain.
-		ar.OnBicastDiscard = func(pkt *inet.Packet) {
-			recorder.DedupDiscardNAR()
-			releaseUDPChain(pkt)
-		}
-	}
+	// Every dead packet goes through the sink. Wired tail drops are charged
+	// to the link-queue site; the reference topology is provisioned so
+	// they are rare.
+	s := &sink{topo: topo, rec: recorder}
+	s.wireAccess(routers, ars, aps)
+	// Impair discards (the fault injector eating a packet) are final sinks
+	// too. The injector is control-only, and control payloads stay off the
+	// pool, so today this recycles nothing — it is here so a future
+	// data-plane fault config cannot silently leak.
+	topo.HookDiscards(s.release)
 	// Bandwidth-overhead accounting for the anchor's bicast duplicates.
 	agent.OnBicast = func(pkt *inet.Packet) { recorder.BicastDuplicate(pkt) }
-	dataAirDrop := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteAir)
-		}
-		releaseUDPChain(pkt)
+
+	// Staggered beacons: each access point on its own phase.
+	for i, ap := range aps {
+		ap.StartAdvertising(wireless.Advertisement{Router: routers[i].Addr(), Net: NetPAR + inet.NetID(i)},
+			p.RAInterval, rng.Uniform(0, p.RAInterval))
 	}
-	apPAR.AirDropHook = dataAirDrop
-	apNAR.AirDropHook = dataAirDrop
-
-	// Wired tail drops: charge them to the recorder's link-queue site and
-	// recycle the packets, which previously leaked to the garbage
-	// collector. The reference topology is provisioned so these are rare.
-	topo.HookDrops(func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteLinkQueue)
-		}
-		releaseUDPChain(pkt)
-	})
-	// Impair discards (the fault injector eating a packet) are final sinks
-	// too: recycle them the same way. The injector is control-only, and
-	// control payloads stay off the pool, so today this recycles nothing —
-	// it is here so a future data-plane fault config cannot silently leak.
-	topo.HookDiscards(releaseUDPChain)
-
-	// Staggered beacons: the PAR's AP on one phase, the NAR's on another.
-	apPAR.StartAdvertising(wireless.Advertisement{Router: parRouter.Addr(), Net: NetPAR},
-		p.RAInterval, rng.Uniform(0, p.RAInterval))
-	apNAR.StartAdvertising(wireless.Advertisement{Router: narRouter.Addr(), Net: NetNAR},
-		p.RAInterval, rng.Uniform(0, p.RAInterval))
 
 	// Control-plane loss on the access links. The attachment order is fixed
 	// so the per-interface fault streams are a pure function of the seed.
@@ -338,9 +319,12 @@ func NewTestbed(p Params) *Testbed {
 	if p.ControlLossRate > 0 {
 		faults = netsim.NewFaultInjector(p.Seed)
 		lossy := netsim.FaultConfig{LossRate: p.ControlLossRate, ControlOnly: true}
-		faults.AttachLink(parAPLink, lossy)
-		faults.AttachLink(narAPLink, lossy)
-		faults.AttachLink(arLink, lossy)
+		for _, l := range apLinks {
+			faults.AttachLink(l, lossy)
+		}
+		for _, l := range neighbours {
+			faults.AttachLink(l, lossy)
+		}
 	}
 
 	return &Testbed{
@@ -353,16 +337,15 @@ func NewTestbed(p Params) *Testbed {
 		CN:       cn,
 		MAP:      agent,
 		Home:     home,
-		PAR:      par,
-		NAR:      nar,
-		APPAR:    apPAR,
-		APNAR:    apNAR,
-		parAPL:   parAPLink,
-		narAPL:   narAPLink,
-		arLink:   arLink,
+		ARs:      ars,
+		APs:      aps,
+		PAR:      ars[0],
+		NAR:      ars[1],
+		APPAR:    aps[0],
+		APNAR:    aps[1],
+		apLinks:  apLinks,
+		sink:     s,
 		Faults:   faults,
-
-		releaseUDP: releaseUDPChain,
 	}
 }
 
@@ -386,14 +369,6 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 		AirDelay:       sim.Millisecond,
 		L2HandoffDelay: tb.Params.L2HandoffDelay,
 	})
-	// Station-side uplink losses (detached sends, queue overflow, NIC-reset
-	// flush) mirror the AP's AirDropHook accounting.
-	station.TxDropHook = func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			tb.Recorder.DroppedSite(pkt, stats.SiteAirUplink)
-		}
-		tb.releaseUDP(pkt)
-	}
 	mh := core.NewMobileHost(tb.Engine, station, rcoa, anchor.Router().Addr(), core.MHConfig{
 		HostID:            hostID,
 		Scheme:            tb.Params.Scheme,
@@ -404,31 +379,10 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 		RetransmitUnacked: tb.Params.ControlLossRate > 0,
 	})
 	mh.Attach(tb.APPAR, tb.PAR.Addr(), NetPAR)
-	tb.PAR.AttachResident(mh.LCoA(), tb.parAPL.A())
+	tb.PAR.AttachResident(mh.LCoA(), tb.apLinks[0].A())
 	anchor.Register(rcoa, mh.LCoA(), 3600*sim.Second)
 	mh.StartRegistration()
-	sink := traffic.Sink(tb.Engine, tb.Recorder)
-	mh.OnDeliver = func(pkt *inet.Packet) {
-		sink(pkt)
-		// The delivered UDP packet is dead once recorded; recycle it
-		// (deferred one event, so tracing wrappers still read it).
-		if pkt.Proto == inet.ProtoUDP {
-			tb.Topo.ReleasePacket(pkt)
-		}
-	}
-	mh.ReleaseTunnel = func(outer, inner *inet.Packet) {
-		for p := outer; p != nil && p != inner; p = p.Inner {
-			tb.Topo.ReleasePacket(p)
-		}
-	}
-	mh.OnDuplicate = func(pkt *inet.Packet) {
-		// Redundant bicast copy suppressed by the dedup window (wrappers
-		// already recycled via ReleaseTunnel).
-		tb.Recorder.DedupDiscardMH()
-		if pkt.Proto == inet.ProtoUDP {
-			tb.Topo.ReleasePacket(pkt)
-		}
-	}
+	tb.sink.wireHost(station, mh, traffic.Sink(tb.Engine, tb.Recorder))
 
 	unit := &MHUnit{MH: mh, Station: station, RCoA: rcoa}
 	for _, spec := range flows {

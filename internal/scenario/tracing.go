@@ -11,7 +11,7 @@ import (
 )
 
 // AttachTrace subscribes a trace log to the testbed's protocol events:
-// control messages from both routers and every host, drops (with their
+// control messages from every router and host, drops (with their
 // site), deliveries, link transitions, and handoff completions. Existing
 // hooks (the statistics recorder) keep working; the trace chains onto
 // them.
@@ -48,8 +48,9 @@ func (tb *Testbed) AttachTrace(log *trace.Log) {
 			})
 		}
 	}
-	hookAR("par", tb.PAR)
-	hookAR("nar", tb.NAR)
+	for _, ar := range tb.ARs {
+		hookAR(ar.Router().Name(), ar)
+	}
 
 	for i, unit := range tb.MHs {
 		node := trace.InternNode(fmt.Sprintf("mh%d", i))

@@ -141,14 +141,10 @@ func NewWLANTestbed(p WLANParams) *WLANTestbed {
 	})
 	ar.AddAP("ap1", ap1Link.A())
 	ar.AddAP("ap2", ap2Link.A())
-	ar.OnDrop = func(pkt *inet.Packet, where string) { recorder.Dropped(pkt, where) }
-	dataAirDrop := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteAir)
-		}
-	}
-	ap1.AirDropHook = dataAirDrop
-	ap2.AirDropHook = dataAirDrop
+	// The network pools nothing and carries only TCP and control packets,
+	// which the sink charges but never releases.
+	s := &sink{topo: topo, rec: recorder}
+	s.wireAccess([]*netsim.Router{arRouter}, []*core.AccessRouter{ar}, []*wireless.AccessPoint{ap1, ap2})
 
 	ap1.StartAdvertising(wireless.Advertisement{Router: arRouter.Addr(), Net: NetWLAN},
 		p.RAInterval, rng.Uniform(0, p.RAInterval))
@@ -163,11 +159,6 @@ func NewWLANTestbed(p WLANParams) *WLANTestbed {
 			AirDelay:       sim.Millisecond,
 			L2HandoffDelay: p.L2HandoffDelay,
 		})
-	station.TxDropHook = func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoControl {
-			recorder.DroppedSite(pkt, stats.SiteAirUplink)
-		}
-	}
 	bufReq := 0
 	if p.Buffered {
 		bufReq = p.BufferRequest
@@ -197,11 +188,11 @@ func NewWLANTestbed(p WLANParams) *WLANTestbed {
 			sender.HandleAck(seg)
 		}
 	}
-	mh.OnDeliver = func(pkt *inet.Packet) {
+	s.wireHost(station, mh, func(pkt *inet.Packet) {
 		if seg, ok := pkt.Payload.(*tcp.Segment); ok {
 			receiver.Handle(seg)
 		}
-	}
+	})
 
 	return &WLANTestbed{
 		Params:   p,
