@@ -140,7 +140,7 @@ func BenchmarkFig414Throughput(b *testing.B) {
 	b.ReportAllocs()
 	var res scenario.Fig414Result
 	for i := 0; i < b.N; i++ {
-		res = scenario.RunFig414()
+		res = scenario.RunFig414(0, nil)
 	}
 	b.ReportMetric(float64(res.Buffered.Delivered-res.Unbuffered.Delivered)/1e6,
 		"buffering-gain-MB")
@@ -153,7 +153,7 @@ func BenchmarkBaselineLadder(b *testing.B) {
 	b.ReportAllocs()
 	var res scenario.BaselineResult
 	for i := 0; i < b.N; i++ {
-		res = scenario.RunBaseline()
+		res = scenario.RunBaseline(0, nil)
 	}
 	b.ReportMetric(float64(res.Rows[0].Lost), "plain-mip-lost")
 	b.ReportMetric(float64(res.Rows[1].Lost), "hmip-lost")
@@ -282,7 +282,10 @@ func benchRunnerPool(b *testing.B, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	const replicasPerOp = 8
-	spec := scenario.BaselineSpec()
+	spec, err := scenario.SpecByName("baseline")
+	if err != nil {
+		b.Fatal(err)
+	}
 	pool := runner.NewPool(workers)
 	b.ResetTimer()
 	var res *runner.Result

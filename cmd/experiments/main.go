@@ -30,6 +30,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/runner"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // defaultSpecs are the headline experiments the replica fan-out runs when
@@ -109,7 +110,7 @@ func run(args []string, stdout io.Writer) error {
 	exps := scenario.Experiments()
 	for i := range exps {
 		if exps[i].ID == "city" {
-			exps[i].Run = func() scenario.Renderer { return scenario.RunCity(city) }
+			exps[i].Run = func(*sim.Engine, int64) scenario.Result { return scenario.RunCity(city) }
 		}
 	}
 	if *list {
@@ -136,7 +137,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		matched = true
 		fmt.Fprintf(stdout, "=== Figure %s — %s ===\n\n", exp.ID, exp.Title)
-		result := exp.Run()
+		result := exp.Run(nil, 0)
 		fmt.Fprintln(stdout, result.Render())
 		if *csvDir != "" {
 			if cw, ok := result.(scenario.CSVWriter); ok {

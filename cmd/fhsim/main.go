@@ -75,6 +75,12 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("-interval %v: must be positive", *interval)
 	case *size <= 0:
 		return fmt.Errorf("-size %d: must be positive", *size)
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v: must be positive", *duration)
+	case *l2Delay <= 0:
+		return fmt.Errorf("-l2delay %v: must be positive (zero would select the default)", *l2Delay)
+	case *arDelay <= 0:
+		return fmt.Errorf("-ardelay %v: must be positive (zero would select the default)", *arDelay)
 	}
 	flows, err := parseClasses(*classes, *size, *interval)
 	if err != nil {

@@ -87,6 +87,10 @@ func TestBadFlags(t *testing.T) {
 		{"-loss", "1.5"},   // a probability
 		{"-hosts", "0"},    // nothing to simulate
 		{"-size", "0"},     // zero-byte packets
+		{"-duration", "-5s"},
+		{"-duration", "0"},
+		{"-l2delay", "0"}, // zero would select the 200 ms default
+		{"-ardelay", "0"}, // zero would select the 2 ms default
 	} {
 		if err := run(args, devnull); err == nil {
 			t.Errorf("run(%q) accepted a bad flag", args)

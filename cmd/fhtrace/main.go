@@ -59,12 +59,7 @@ func run(args []string) error {
 	log := trace.NewLog(0)
 	tb.AttachTrace(log)
 
-	tb.StartTraffic()
-	if err := tb.Run(12 * sim.Second); err != nil {
-		return err
-	}
-	tb.StopTraffic()
-	if err := tb.Engine.Run(14 * sim.Second); err != nil {
+	if err := tb.RunTraffic(12*sim.Second, 14*sim.Second); err != nil {
 		return err
 	}
 

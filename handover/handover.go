@@ -183,7 +183,8 @@ type Simulation struct {
 
 // Validate reports the first setting New cannot build: a negative buffer
 // pool or α, an α that would refuse every best-effort packet, a loss rate
-// outside [0,1], or a row that is not 2 to 48 routers long.
+// outside [0,1], a negative delay or beacon period, or a row that is not
+// 2 to 48 routers long.
 func (c Config) Validate() error {
 	if c.Scheme != 0 && !c.Scheme.Valid() {
 		return fmt.Errorf("handover: unknown scheme %d", c.Scheme)
@@ -193,6 +194,10 @@ func (c Config) Validate() error {
 	}
 	if c.ControlLossRate < 0 || c.ControlLossRate > 1 {
 		return fmt.Errorf("handover: control loss rate %g outside [0,1]", c.ControlLossRate)
+	}
+	if c.ARLinkDelay < 0 || c.L2HandoffDelay < 0 || c.RAInterval < 0 || c.HomeAgentDelay < 0 {
+		return fmt.Errorf("handover: negative time: ARLinkDelay %v, L2HandoffDelay %v, RAInterval %v, HomeAgentDelay %v",
+			c.ARLinkDelay, c.L2HandoffDelay, c.RAInterval, c.HomeAgentDelay)
 	}
 	// Router i owns net NetPAR+i, so a longer row would claim the MAP's.
 	if most := int(scenario.NetMAP - scenario.NetPAR); c.Routers < 0 || c.Routers == 1 || c.Routers > most {
@@ -234,6 +239,9 @@ func New(cfg Config) *Simulation {
 type Host struct {
 	unit *scenario.MHUnit
 	sim  *Simulation
+	// index is the host's position in AddMobileHost order, the Host field
+	// of its reports.
+	index int
 }
 
 // AddMobileHost places a mobile host on the previous access router's cell
@@ -252,22 +260,20 @@ func (s *Simulation) AddMobileHost(motion Motion, flows ...Flow) *Host {
 	for _, id := range unit.Flows {
 		s.tb.Recorder.KeepSamples(id)
 	}
-	h := &Host{unit: unit, sim: s}
+	h := &Host{unit: unit, sim: s, index: len(s.hosts)}
 	s.hosts = append(s.hosts, h)
 	return h
 }
 
 // Run starts all traffic, advances the simulation by d, then stops traffic
 // and lets buffers drain for two more virtual seconds. Run may be called
-// repeatedly to extend a simulation.
+// repeatedly to extend a simulation; a negative d is an error.
 func (s *Simulation) Run(d time.Duration) error {
-	s.tb.StartTraffic()
-	horizon := s.tb.Engine.Now() + sim.Duration(d)
-	if err := s.tb.Engine.Run(horizon); err != nil {
-		return err
+	if d < 0 {
+		return fmt.Errorf("handover: negative run duration %v", d)
 	}
-	s.tb.StopTraffic()
-	return s.tb.Engine.Run(horizon + 2*sim.Second)
+	horizon := s.tb.Engine.Now() + sim.Duration(d)
+	return s.tb.RunTraffic(horizon, horizon+2*sim.Second)
 }
 
 // Now returns the current virtual time.

@@ -1,6 +1,7 @@
 package handover_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,7 +95,8 @@ func TestFlowStats(t *testing.T) {
 		BufferRequestPackets: 20,
 	})
 	host := sim.AddMobileHost(handover.Stationary(10), handover.AudioFlow(handover.RealTime))
-	if err := sim.Run(2 * time.Second); err != nil {
+	mover := sim.AddMobileHost(handover.LinearPath(50, 10), handover.AudioFlow(handover.HighPriority))
+	if err := sim.Run(12 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	f, ok := host.FlowStats(0)
@@ -107,8 +109,30 @@ func TestFlowStats(t *testing.T) {
 	if _, ok := host.FlowStats(5); ok {
 		t.Error("FlowStats(5) should not exist")
 	}
-	if sim.Now() < 2*time.Second {
-		t.Errorf("Now() = %v, want ≥ 2s", sim.Now())
+	if sim.Now() < 12*time.Second {
+		t.Errorf("Now() = %v, want ≥ 12s", sim.Now())
+	}
+
+	// The second host's own reports carry its index and match Report's.
+	rep := sim.Report()
+	mf, ok := mover.FlowStats(0)
+	if !ok || mf.Host != 1 {
+		t.Fatalf("second host FlowStats(0) = %+v, %v; want Host 1", mf, ok)
+	}
+	if len(rep.Flows) != 2 || rep.Flows[1] != mf {
+		t.Errorf("Report().Flows = %+v, want second entry %+v", rep.Flows, mf)
+	}
+	hs := mover.Handoffs()
+	if len(hs) == 0 {
+		t.Fatal("second host never handed off")
+	}
+	if !reflect.DeepEqual(rep.Handoffs, hs) {
+		t.Errorf("Report().Handoffs = %+v, want the second host's %+v", rep.Handoffs, hs)
+	}
+	for _, h := range hs {
+		if h.Host != 1 {
+			t.Errorf("second host handoff %+v: Host %d, want 1", h, h.Host)
+		}
 	}
 }
 
@@ -320,10 +344,17 @@ func TestConfigValidate(t *testing.T) {
 		{Routers: 1},
 		{Routers: 49},
 		{Scheme: 99},
+		{ARLinkDelay: -time.Millisecond},
+		{L2HandoffDelay: -time.Millisecond},
+		{RAInterval: -time.Millisecond},
+		{HomeAgentDelay: -time.Millisecond},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted a config New cannot build", bad)
 		}
+	}
+	if err := handover.New(handover.Config{}).Run(-time.Second); err == nil {
+		t.Error("Run accepted a negative duration")
 	}
 	defer func() {
 		if recover() == nil {

@@ -74,15 +74,13 @@ func (r Report) LostByClass() map[Class]uint64 {
 // Report collects the current measurements.
 func (s *Simulation) Report() Report {
 	rep := Report{DropsByLocation: make(map[string]uint64)}
-	for hi, h := range s.hosts {
-		for fi, id := range h.unit.Flows {
-			if f := s.tb.Recorder.Flow(id); f != nil {
-				rep.Flows = append(rep.Flows, flowReport(hi, fi, f))
+	for _, h := range s.hosts {
+		for fi := range h.unit.Flows {
+			if f, ok := h.FlowStats(fi); ok {
+				rep.Flows = append(rep.Flows, f)
 			}
 		}
-		for _, rec := range h.unit.MH.Handoffs() {
-			rep.Handoffs = append(rep.Handoffs, handoffReport(hi, rec))
-		}
+		rep.Handoffs = append(rep.Handoffs, h.Handoffs()...)
 	}
 	for site, n := range s.tb.Recorder.SiteDrops() {
 		if n > 0 {
@@ -122,12 +120,11 @@ func handoffReport(host int, rec core.HandoffRecord) HandoffReport {
 	}
 }
 
-// Handoffs returns this host's completed handoffs. Their Host field is
-// left zero.
+// Handoffs returns this host's completed handoffs.
 func (h *Host) Handoffs() []HandoffReport {
 	var out []HandoffReport
 	for _, rec := range h.unit.MH.Handoffs() {
-		out = append(out, handoffReport(0, rec))
+		out = append(out, handoffReport(h.index, rec))
 	}
 	return out
 }
@@ -155,8 +152,7 @@ func (s *Simulation) InitiateHandover(h *Host, bufferPackets int) bool {
 	return s.tb.NAR.InitiateHandover(h.unit.MH.LCoA(), "ap-par", bufferPackets)
 }
 
-// FlowStats returns the report for one of this host's flows. Its Host
-// field is left zero.
+// FlowStats returns the report for one of this host's flows.
 func (h *Host) FlowStats(index int) (FlowReport, bool) {
 	if index < 0 || index >= len(h.unit.Flows) {
 		return FlowReport{}, false
@@ -165,5 +161,5 @@ func (h *Host) FlowStats(index int) (FlowReport, bool) {
 	if f == nil {
 		return FlowReport{}, false
 	}
-	return flowReport(0, index, f), true
+	return flowReport(h.index, index, f), true
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
@@ -27,16 +28,10 @@ type BaselineResult struct {
 	Rows []BaselineRow
 }
 
-// RunBaseline executes the ladder with one 64 kb/s flow per run, using
-// the default seed.
-func RunBaseline() BaselineResult { return RunBaselineSeed(1) }
-
-// RunBaselineSeed executes the ladder with the given beacon-phase seed.
-func RunBaselineSeed(seed int64) BaselineResult { return runBaselineLadder(seed, nil) }
-
-// runBaselineLadder runs the ladder, optionally reusing a simulation
-// engine across the four configurations (see Params.Engine).
-func runBaselineLadder(seed int64, engine *sim.Engine) BaselineResult {
+// RunBaseline executes the ladder with one 64 kb/s flow per run under the
+// given beacon-phase seed (0 selects the default), optionally reusing a
+// simulation engine across the four configurations (see Params.Engine).
+func RunBaseline(seed int64, engine *sim.Engine) BaselineResult {
 	configs := []struct {
 		name   string
 		params Params
@@ -75,19 +70,28 @@ func runBaselineOnce(name string, p Params) BaselineRow {
 		AudioFlow(inet.ClassHighPriority),
 	})
 	tb.Recorder.KeepSamples(unit.Flows[0])
-	tb.StartTraffic()
-	if err := tb.Run(12 * sim.Second); err != nil {
+	if err := tb.RunTraffic(12*sim.Second, 14*sim.Second); err != nil {
 		panic(fmt.Sprintf("baseline: %v", err))
-	}
-	tb.StopTraffic()
-	if err := tb.Engine.Run(14 * sim.Second); err != nil {
-		panic(fmt.Sprintf("baseline drain: %v", err))
 	}
 	f := tb.Recorder.Flow(unit.Flows[0])
 	row := BaselineRow{Name: name, Lost: f.Lost()}
 	// The outage is the longest gap between consecutive deliveries.
 	row.Outage = f.DeliveryGap(0, sim.MaxTime)
 	return row
+}
+
+// Metrics reports each rung's loss and outage.
+func (r BaselineResult) Metrics() runner.Metrics {
+	slugs := [4]string{"plain_mip", "hmip", "fh_nobuf", "enhanced"}
+	if len(r.Rows) != len(slugs) {
+		panic(fmt.Sprintf("baseline spec: %d rows, want %d", len(r.Rows), len(slugs)))
+	}
+	m := runner.Metrics{}
+	for i, row := range r.Rows {
+		m["lost_"+slugs[i]] = float64(row.Lost)
+		m["outage_ms_"+slugs[i]] = row.Outage.Milliseconds()
+	}
+	return m
 }
 
 // Render prints the ladder.

@@ -789,23 +789,26 @@ func CitySpec(p CityParams) runner.Spec {
 		name: "city",
 		desc: fmt.Sprintf("sharded city handoff wave: %d domains × %d hosts on %d shards",
 			d.Domains, d.HostsPerDomain, d.Shards),
-		run: func(engine *sim.Engine, seed int64) runner.Metrics {
+		run: func(engine *sim.Engine, seed int64) Result {
 			p := p
-			p.Seed = seed
-			p.Engine = engine
-			res := RunCity(p)
-			m := runner.Metrics{
-				"handoffs":      float64(res.Handoffs),
-				"grants":        float64(res.Grants),
-				"refusals":      float64(res.Refusals),
-				"max_delay_ms":  res.MaxDelayMs,
-				"mean_delay_ms": res.MeanDelayMs,
-				"sessions_left": float64(res.SessionsLeft),
-				"events":        float64(res.Events),
-			}
-			for k, suffix := range classSuffix {
-				m["lost_"+suffix] = float64(res.Lost[k])
-			}
-			return m
+			p.Seed, p.Engine = seed, engine
+			return RunCity(p)
 		}}
+}
+
+// Metrics reports the city's totals.
+func (r CityResult) Metrics() runner.Metrics {
+	m := runner.Metrics{
+		"handoffs":      float64(r.Handoffs),
+		"grants":        float64(r.Grants),
+		"refusals":      float64(r.Refusals),
+		"max_delay_ms":  r.MaxDelayMs,
+		"mean_delay_ms": r.MeanDelayMs,
+		"sessions_left": float64(r.SessionsLeft),
+		"events":        float64(r.Events),
+	}
+	for k, suffix := range classSuffix {
+		m["lost_"+suffix] = float64(r.Lost[k])
+	}
+	return m
 }

@@ -90,7 +90,7 @@ func TestTCPTraceCSV(t *testing.T) {
 }
 
 func TestFig414CSV(t *testing.T) {
-	res := RunFig414()
+	res := RunFig414(0, nil)
 	records := parseCSV(t, res)
 	if len(records) < 100 {
 		t.Fatalf("records = %d", len(records))
@@ -101,7 +101,7 @@ func TestFig414CSV(t *testing.T) {
 }
 
 func TestBaselineCSV(t *testing.T) {
-	res := RunBaseline()
+	res := RunBaseline(0, nil)
 	records := parseCSV(t, res)
 	if len(records) != 5 { // header + 4 rungs
 		t.Fatalf("records = %d, want 5", len(records))
@@ -124,8 +124,8 @@ func TestRenderers(t *testing.T) {
 			return RunDelayTrace(DelayTraceParams{Scheme: core.SchemeDual, PoolSize: 20}).Render()
 		}, "End-to-end delay"},
 		{"tcp trace", func() string { return RunTCPTrace(TCPTraceParams{Buffered: true}).Render() }, "TCP sequence trace"},
-		{"fig4.14", func() string { return RunFig414().Render() }, "TCP throughput"},
-		{"baseline", func() string { return RunBaseline().Render() }, "mobility-management ladder"},
+		{"fig4.14", func() string { return RunFig414(0, nil).Render() }, "TCP throughput"},
+		{"baseline", func() string { return RunBaseline(0, nil).Render() }, "mobility-management ladder"},
 	}
 	for _, c := range checks {
 		t.Run(c.name, func(t *testing.T) {
@@ -139,7 +139,10 @@ func TestRenderers(t *testing.T) {
 
 func TestSweeps(t *testing.T) {
 	pool := runner.NewPool(2)
-	fig42, err := pool.Run(context.Background(), Fig42Spec(Fig42Params{MaxHosts: 10}), 3, 1)
+	fig42Spec := scratchSpec{name: "fig4.2", run: func(engine *sim.Engine, seed int64) Result {
+		return RunFig42(Fig42Params{MaxHosts: 10, Seed: seed, Engine: engine})
+	}}
+	fig42, err := pool.Run(context.Background(), fig42Spec, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,11 @@ func TestSweeps(t *testing.T) {
 		t.Errorf("dual mean %.1f < 1.8× nar mean %.1f", dual.Mean, nar.Mean)
 	}
 
-	ladder, err := pool.Run(context.Background(), BaselineSpec(), 2, 1)
+	baseline, err := SpecByName("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := pool.Run(context.Background(), baseline, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestSweeps(t *testing.T) {
 }
 
 func TestLatencyBreakdown(t *testing.T) {
-	l := RunLatencyBreakdown(6, 1)
+	l := RunLatencyBreakdown(6, 1, nil)
 	if l.Handoffs != 6 {
 		t.Fatalf("handoffs = %d, want 6", l.Handoffs)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -242,11 +243,13 @@ func TestFig412vs413TCPStall(t *testing.T) {
 	}
 }
 
+// TestExperimentRegistryRuns checks the one experiment table: unique
+// figure IDs and spec names, a description for every spec, Specs derived
+// from the table in order, and every spec the benchmark harness looks up.
 func TestExperimentRegistryRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry run is slow")
-	}
 	seen := make(map[string]bool)
+	specSeen := make(map[string]bool)
+	var wantSpecs []string
 	for _, exp := range Experiments() {
 		if exp.ID == "" || exp.Title == "" || exp.Run == nil {
 			t.Fatalf("incomplete experiment: %+v", exp)
@@ -255,6 +258,17 @@ func TestExperimentRegistryRuns(t *testing.T) {
 			t.Fatalf("duplicate experiment %s", exp.ID)
 		}
 		seen[exp.ID] = true
+		if exp.Spec == "" {
+			continue
+		}
+		if exp.Desc == "" {
+			t.Errorf("spec %s has no description", exp.Spec)
+		}
+		if specSeen[exp.Spec] {
+			t.Fatalf("duplicate spec %s", exp.Spec)
+		}
+		specSeen[exp.Spec] = true
+		wantSpecs = append(wantSpecs, exp.Spec)
 	}
 	want := []string{"4.2", "4.3", "4.4", "4.5", "4.6", "4.7", "4.8", "4.9", "4.10", "4.12", "4.13", "4.14"}
 	for _, id := range want {
@@ -262,10 +276,34 @@ func TestExperimentRegistryRuns(t *testing.T) {
 			t.Errorf("figure %s missing from the registry", id)
 		}
 	}
+
+	if specSeen["city"] {
+		t.Error("a table entry claims the city spec name")
+	}
+	wantSpecs = append(wantSpecs, "city")
+	var gotSpecs []string
+	for _, spec := range Specs() {
+		gotSpecs = append(gotSpecs, spec.Name())
+	}
+	if !reflect.DeepEqual(gotSpecs, wantSpecs) {
+		t.Errorf("Specs() = %v, want the table's specs then city: %v", gotSpecs, wantSpecs)
+	}
+
+	// The thesis-figures workload of the benchmark harness (perfbench's
+	// figureSpecNames).
+	for _, name := range []string{
+		"fig4.2", "fig4.3", "fig4.4", "fig4.5", "fig4.6", "fig4.7", "fig4.8",
+		"fig4.9", "fig4.10", "fig4.12", "fig4.13", "baseline", "latency",
+		"loss-sweep", "drop-sfn", "delay-sfn",
+	} {
+		if _, err := SpecByName(name); err != nil {
+			t.Errorf("SpecByName(%q): %v", name, err)
+		}
+	}
 }
 
 func TestBaselineLadderOrdering(t *testing.T) {
-	res := RunBaseline()
+	res := RunBaseline(0, nil)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}

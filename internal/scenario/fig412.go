@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -76,6 +77,16 @@ func RunTCPTrace(p TCPTraceParams) TCPTraceResult {
 		}
 	}
 	return res
+}
+
+// Metrics reports the sender's timeouts, the reception stall and the
+// delivered bytes.
+func (r TCPTraceResult) Metrics() runner.Metrics {
+	return runner.Metrics{
+		"tcp_timeouts":    float64(r.Timeouts),
+		"stall_ms":        r.StallAfterDetach.Milliseconds(),
+		"delivered_bytes": float64(r.Delivered),
+	}
 }
 
 // Render prints the sequence trace (decimated) and the stall summary —

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
@@ -103,13 +104,8 @@ func runFig42Once(p Fig42Params, scheme core.Scheme, hosts int) uint64 {
 			AudioFlow(inet.ClassUnspecified),
 		})
 	}
-	tb.StartTraffic()
-	if err := tb.Run(12 * sim.Second); err != nil {
+	if err := tb.RunTraffic(12*sim.Second, 14*sim.Second); err != nil {
 		panic(fmt.Sprintf("fig4.2: %v", err))
-	}
-	tb.StopTraffic()
-	if err := tb.Engine.Run(14 * sim.Second); err != nil {
-		panic(fmt.Sprintf("fig4.2 drain: %v", err))
 	}
 	return tb.Recorder.TotalLost()
 }
@@ -126,6 +122,18 @@ func (r Fig42Result) MaxLossFree(label string) int {
 		}
 	}
 	return best
+}
+
+// Metrics reports the loss-free capacities per placement and the
+// unbuffered scheme's drops at the largest host count.
+func (r Fig42Result) Metrics() runner.Metrics {
+	fh := r.Drops["FH"]
+	return runner.Metrics{
+		"capacity_nar":    float64(r.MaxLossFree("NAR")),
+		"capacity_par":    float64(r.MaxLossFree("PAR")),
+		"capacity_dual":   float64(r.MaxLossFree("DUAL")),
+		"drops_fh_at_max": float64(fh[len(fh)-1]),
+	}
 }
 
 // Render prints the figure as a text table (hosts × schemes).

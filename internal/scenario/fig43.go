@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
@@ -136,6 +137,25 @@ func (r DropTraceResult) Final() [3]uint64 {
 
 // Handoffs returns how many handoffs were recorded.
 func (r DropTraceResult) Handoffs() int { return len(r.Cumulative[0]) }
+
+// Metrics reports the final per-class drop counts and, for SafetyNet, the
+// bicast overhead.
+func (r DropTraceResult) Metrics() runner.Metrics {
+	final := r.Final()
+	m := runner.Metrics{"handoffs": float64(r.Handoffs())}
+	for k, suffix := range classSuffix {
+		m["drops_"+suffix] = float64(final[k])
+	}
+	if r.Params.Scheme == core.SchemeSafetyNet {
+		m["dup_packets"] = float64(r.DupPackets)
+		ratio := 0.0
+		if r.TotalSent > 0 {
+			ratio = float64(r.DupPackets) / float64(r.TotalSent)
+		}
+		m["overhead_ratio"] = ratio
+	}
+	return m
+}
 
 // Render prints the cumulative-drop curves as a text table, decimated to
 // every fifth handoff.

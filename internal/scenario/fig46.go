@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
@@ -76,13 +77,8 @@ func RunFig46(p Fig46Params) Fig46Result {
 			spec(inet.ClassHighPriority),
 			spec(inet.ClassBestEffort),
 		})
-		tb.StartTraffic()
-		if err := tb.Run(12 * sim.Second); err != nil {
+		if err := tb.RunTraffic(12*sim.Second, 14*sim.Second); err != nil {
 			panic(fmt.Sprintf("fig4.6: %v", err))
-		}
-		tb.StopTraffic()
-		if err := tb.Engine.Run(14 * sim.Second); err != nil {
-			panic(fmt.Sprintf("fig4.6 drain: %v", err))
 		}
 		row := Fig46Row{
 			Interval: interval,
@@ -94,6 +90,16 @@ func RunFig46(p Fig46Params) Fig46Result {
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// Metrics reports the per-class losses at the highest rate.
+func (r Fig46Result) Metrics() runner.Metrics {
+	last := r.Rows[len(r.Rows)-1]
+	m := runner.Metrics{}
+	for k, suffix := range classSuffix {
+		m["lost_"+suffix+"_at_max_rate"] = float64(last.Lost[k])
+	}
+	return m
 }
 
 // Render prints the sweep as a text table.

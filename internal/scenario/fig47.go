@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wireless"
@@ -84,13 +85,8 @@ func RunDelayTrace(p DelayTraceParams) DelayTraceResult {
 	for _, id := range unit.Flows {
 		tb.Recorder.KeepSamples(id)
 	}
-	tb.StartTraffic()
-	if err := tb.Run(12 * sim.Second); err != nil {
+	if err := tb.RunTraffic(12*sim.Second, 14*sim.Second); err != nil {
 		panic(fmt.Sprintf("delay trace: %v", err))
-	}
-	tb.StopTraffic()
-	if err := tb.Engine.Run(14 * sim.Second); err != nil {
-		panic(fmt.Sprintf("delay trace drain: %v", err))
 	}
 
 	res := DelayTraceResult{Params: p}
@@ -117,6 +113,16 @@ func (r DelayTraceResult) MaxDelay(k int) sim.Time {
 		if s.Delay > m {
 			m = s.Delay
 		}
+	}
+	return m
+}
+
+// Metrics reports the per-class maximum delay within the window and loss.
+func (r DelayTraceResult) Metrics() runner.Metrics {
+	m := runner.Metrics{}
+	for k, suffix := range classSuffix {
+		m["max_delay_ms_"+suffix] = r.MaxDelay(k).Milliseconds()
+		m["lost_"+suffix] = float64(r.Lost[k])
 	}
 	return m
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inet"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wireless"
@@ -25,14 +26,9 @@ type LatencyBreakdown struct {
 }
 
 // RunLatencyBreakdown measures the components over the given number of
-// ping-pong handoffs under the enhanced scheme.
-func RunLatencyBreakdown(handoffs int, seed int64) LatencyBreakdown {
-	return runLatencyBreakdownEngine(handoffs, seed, nil)
-}
-
-// runLatencyBreakdownEngine optionally reuses a simulation engine (see
-// Params.Engine).
-func runLatencyBreakdownEngine(handoffs int, seed int64, engine *sim.Engine) LatencyBreakdown {
+// ping-pong handoffs under the enhanced scheme, optionally reusing a
+// simulation engine (see Params.Engine).
+func RunLatencyBreakdown(handoffs int, seed int64, engine *sim.Engine) LatencyBreakdown {
 	if handoffs <= 0 {
 		handoffs = 10
 	}
@@ -82,6 +78,15 @@ func runLatencyBreakdownEngine(handoffs int, seed int64, engine *sim.Engine) Lat
 	return out
 }
 
+// Metrics reports the mean component latencies.
+func (l LatencyBreakdown) Metrics() runner.Metrics {
+	return runner.Metrics{
+		"anticipation_ms": l.Anticipation.Mean(),
+		"blackout_ms":     l.Blackout.Mean(),
+		"interruption_ms": l.Interruption.Mean(),
+	}
+}
+
 // Render formats the breakdown.
 func (l LatencyBreakdown) Render() string {
 	var b strings.Builder
@@ -110,13 +115,8 @@ func HysteresisCost(hysteresisDB float64) (lost uint64, anticipated bool) {
 	unit := tb.AddMobileHost(wireless.Linear{Start: 50, Speed: MHSpeed}, []FlowSpec{
 		AudioFlow(inet.ClassHighPriority),
 	})
-	tb.StartTraffic()
-	if err := tb.Run(16 * sim.Second); err != nil {
+	if err := tb.RunTraffic(16*sim.Second, 18*sim.Second); err != nil {
 		panic(fmt.Sprintf("hysteresis cost: %v", err))
-	}
-	tb.StopTraffic()
-	if err := tb.Engine.Run(18 * sim.Second); err != nil {
-		panic(fmt.Sprintf("hysteresis cost drain: %v", err))
 	}
 	recs := unit.MH.Handoffs()
 	if len(recs) > 0 {

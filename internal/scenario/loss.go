@@ -193,27 +193,20 @@ func (r LossSweepResult) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// LossSweepSpec wraps the loss sweep as a seedable runner spec, reporting
-// each cell's counters as scalars (keys carry the scheme slug and the loss
-// rate in percent, e.g. handoffs_enh_r5).
-func LossSweepSpec() runner.Spec {
-	return scratchSpec{
-		name: "loss-sweep",
-		desc: "handoff resilience under injected control loss: schemes enh/fho/sfn × rates 0-10%",
-		run: func(engine *sim.Engine, seed int64) runner.Metrics {
-			res := RunLossSweep(LossSweepParams{Seed: seed, Engine: engine})
-			m := runner.Metrics{}
-			for _, sch := range res.Schemes {
-				for _, row := range sch.Rows {
-					key := sch.Slug + "_r" + strconv.FormatFloat(row.Rate*100, 'g', -1, 64)
-					m["handoffs_"+key] = float64(row.Handoffs)
-					m["anticipated_"+key] = float64(row.Anticipated)
-					m["signaling_failures_"+key] = float64(row.SignalingFailures)
-					m["injected_"+key] = float64(row.Injected)
-					m["data_lost_"+key] = float64(row.DataLost)
-					m["sessions_left_"+key] = float64(row.SessionsLeft)
-				}
-			}
-			return m
-		}}
+// Metrics reports each cell's counters as scalars (keys carry the scheme
+// slug and the loss rate in percent, e.g. handoffs_enh_r5).
+func (r LossSweepResult) Metrics() runner.Metrics {
+	m := runner.Metrics{}
+	for _, sch := range r.Schemes {
+		for _, row := range sch.Rows {
+			key := sch.Slug + "_r" + strconv.FormatFloat(row.Rate*100, 'g', -1, 64)
+			m["handoffs_"+key] = float64(row.Handoffs)
+			m["anticipated_"+key] = float64(row.Anticipated)
+			m["signaling_failures_"+key] = float64(row.SignalingFailures)
+			m["injected_"+key] = float64(row.Injected)
+			m["data_lost_"+key] = float64(row.DataLost)
+			m["sessions_left_"+key] = float64(row.SessionsLeft)
+		}
+	}
+	return m
 }

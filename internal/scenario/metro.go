@@ -343,41 +343,29 @@ func (r MetroResult) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// MetroSpec wraps the metro sweep as a seedable runner spec. Per-cell
-// metrics are keyed by variant slug and host count (e.g. peak_nar_dual_n2000);
-// capacity_ratio is the headline dual/NAR-only concurrency comparison.
-func MetroSpec(p MetroParams) runner.Spec {
-	d := p
-	d.applyDefaults()
-	return scratchSpec{
-		name: "metro",
-		desc: fmt.Sprintf("mass-handoff pool pressure: variants nar/dual/sfn, pool=%d demand=%d hosts up to %d",
-			d.PoolSize, d.BufferRequest, d.Hosts[len(d.Hosts)-1]),
-		run: func(engine *sim.Engine, seed int64) runner.Metrics {
-			p := p
-			p.Seed = seed
-			p.Engine = engine
-			res := RunMetro(p)
-			m := runner.Metrics{"capacity_ratio": res.CapacityRatio()}
-			for _, v := range res.Variants {
-				for _, c := range v.Cells {
-					key := v.Slug + "_n" + strconv.Itoa(c.Hosts)
-					m["handoffs_"+key] = float64(c.Handoffs)
-					m["refusal_rate_"+key] = c.ExhaustionRate()
-					m["peak_nar_"+key] = float64(c.PeakNAR)
-					m["peak_par_"+key] = float64(c.PeakPAR)
-					for k, suffix := range classSuffix {
-						m["lost_"+suffix+"_"+key] = float64(c.Lost[k])
-					}
-					m["max_delay_ms_"+key] = c.MaxDelayMs
-					m["sessions_left_"+key] = float64(c.SessionsLeft)
-					m["events_"+key] = float64(c.Events)
-					if v.Scheme == core.SchemeSafetyNet {
-						m["dup_packets_"+key] = float64(c.DupPackets)
-						m["overhead_ratio_"+key] = c.OverheadRatio()
-					}
-				}
+// Metrics reports every cell, keyed by variant slug and host count (e.g.
+// peak_nar_dual_n2000); capacity_ratio is the headline dual/NAR-only
+// concurrency comparison.
+func (r MetroResult) Metrics() runner.Metrics {
+	m := runner.Metrics{"capacity_ratio": r.CapacityRatio()}
+	for _, v := range r.Variants {
+		for _, c := range v.Cells {
+			key := v.Slug + "_n" + strconv.Itoa(c.Hosts)
+			m["handoffs_"+key] = float64(c.Handoffs)
+			m["refusal_rate_"+key] = c.ExhaustionRate()
+			m["peak_nar_"+key] = float64(c.PeakNAR)
+			m["peak_par_"+key] = float64(c.PeakPAR)
+			for k, suffix := range classSuffix {
+				m["lost_"+suffix+"_"+key] = float64(c.Lost[k])
 			}
-			return m
-		}}
+			m["max_delay_ms_"+key] = c.MaxDelayMs
+			m["sessions_left_"+key] = float64(c.SessionsLeft)
+			m["events_"+key] = float64(c.Events)
+			if v.Scheme == core.SchemeSafetyNet {
+				m["dup_packets_"+key] = float64(c.DupPackets)
+				m["overhead_ratio_"+key] = c.OverheadRatio()
+			}
+		}
+	}
+	return m
 }

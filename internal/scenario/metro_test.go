@@ -108,17 +108,12 @@ func BenchmarkMetroCell(b *testing.B) {
 	}
 }
 
-// TestMetroSpecMetrics runs the runner-spec adapter once and checks the
+// TestMetroSpecMetrics runs a small metro sweep once and checks the
 // metric keys the JSON artifact schema promises.
 func TestMetroSpecMetrics(t *testing.T) {
-	spec := MetroSpec(smallMetro())
-	if spec.Name() != "metro" {
-		t.Fatalf("spec name = %q", spec.Name())
-	}
-	m, err := spec.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := smallMetro()
+	p.Seed = 1
+	m := RunMetro(p).Metrics()
 	for _, key := range []string{
 		"capacity_ratio",
 		"peak_nar_nar_n40", "peak_nar_dual_n40",

@@ -425,5 +425,16 @@ func (tb *Testbed) StopTraffic() {
 	}
 }
 
+// RunTraffic starts every source, runs to stop, stops the sources and lets
+// buffers drain until drain.
+func (tb *Testbed) RunTraffic(stop, drain sim.Time) error {
+	tb.StartTraffic()
+	if err := tb.Engine.Run(stop); err != nil {
+		return err
+	}
+	tb.StopTraffic()
+	return tb.Engine.Run(drain)
+}
+
 // Run advances the simulation to the given instant.
 func (tb *Testbed) Run(until sim.Time) error { return tb.Engine.Run(until) }
