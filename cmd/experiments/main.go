@@ -7,6 +7,8 @@
 //
 //	experiments                 # run everything, in thesis order
 //	experiments -fig 4.5        # run one figure
+//	experiments -fig 4.2 -seed 5
+//	                            # ... on seed 5 instead of the published seed
 //	experiments -list           # list available figures and runner specs
 //	experiments -csv DIR        # additionally write each figure's data as CSV
 //	experiments -replicas 32    # 32 seeded replicas of the headline specs
@@ -53,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 	replicas := fs.Int("replicas", 0, "fan out N seeded Monte-Carlo replicas of the selected specs")
 	seeds := fs.Int("seeds", 0, "alias for -replicas (the pre-runner flag name)")
 	parallel := fs.Int("parallel", 0, "worker bound for the replica pool (0: GOMAXPROCS)")
-	rootSeed := fs.Int64("seed", 1, "root seed; per-replica seeds are derived from it")
+	rootSeed := fs.Int64("seed", 1, "root seed; per-replica seeds are derived from it (-fig: run the figures on this seed instead of their published one)")
 	jsonOut := fs.String("json", "", "write the replica run's result document to this file ('-': stdout)")
 	specList := fs.String("spec", defaultSpecs, "comma-separated runner specs for -replicas (see -list)")
 	shards := fs.Int("shards", 0, "shard count for -fig city and -spec city (0: 8 and 4; results depend on the shard count, never on workers)")
@@ -87,12 +89,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// An explicit -spec selection means the user wants the runner path;
 	// default to a single replica so `-spec metro` alone does a full run.
-	if *replicas == 0 {
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "spec" {
-				*replicas = 1
-			}
-		})
+	// A figure runs on its published seed (seed 0) unless -seed was given.
+	var specSet bool
+	var figSeed int64
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "spec":
+			specSet = true
+		case "seed":
+			figSeed = *rootSeed
+		}
+	})
+	if *replicas == 0 && specSet {
+		*replicas = 1
 	}
 	if *replicas > 0 {
 		specs, err := selectSpecs(*specList, city)
@@ -110,7 +119,11 @@ func run(args []string, stdout io.Writer) error {
 	exps := scenario.Experiments()
 	for i := range exps {
 		if exps[i].ID == "city" {
-			exps[i].Run = func(*sim.Engine, int64) scenario.Result { return scenario.RunCity(city) }
+			exps[i].Run = func(_ *sim.Engine, seed int64) scenario.Result {
+				p := city
+				p.Seed = seed
+				return scenario.RunCity(p)
+			}
 		}
 	}
 	if *list {
@@ -137,7 +150,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		matched = true
 		fmt.Fprintf(stdout, "=== Figure %s — %s ===\n\n", exp.ID, exp.Title)
-		result := exp.Run(nil, 0)
+		result := exp.Run(nil, figSeed)
 		fmt.Fprintln(stdout, result.Render())
 		if *csvDir != "" {
 			if cw, ok := result.(scenario.CSVWriter); ok {

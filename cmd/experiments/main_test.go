@@ -289,3 +289,24 @@ func TestFiguresGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedFlagReachesFigures checks that an explicit -seed drives the -fig
+// path: a seeded figure's table changes with the seed, and -seed 1 (the
+// published seed) reproduces the default table.
+func TestSeedFlagReachesFigures(t *testing.T) {
+	render := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		return out.String()
+	}
+	published := render("-fig", "baseline")
+	if render("-fig", "baseline", "-seed", "5") == published {
+		t.Fatal("-fig baseline -seed 5 printed the published table: the seed was dropped")
+	}
+	if got := render("-fig", "baseline", "-seed", "1"); got != published {
+		t.Fatalf("-seed 1 differs from the published seed:\n%s\nwant:\n%s", got, published)
+	}
+}

@@ -196,16 +196,18 @@ type AccessRouter struct {
 	pool   *buffer.Pool
 	dir    *Directory
 
-	apIfaces  map[string]*netsim.Iface
-	apByIface map[*netsim.Iface]string
-	defaultAP *netsim.Iface
+	// aps lists the router's own access points in registration order;
+	// the first is the default target for arriving handoffs.
+	aps []apLink
 
-	sessions map[inet.Addr]*session
+	// The address-keyed tables a data packet probes are dense address
+	// tables (DESIGN.md "Per-packet lookups").
+	sessions inet.AddrTable[*session]
 	// ncoaIndex finds the NAR session owning a new care-of address, so the
 	// MAP's bicast duplicates (tunnelled straight to the NCoA) can be
 	// parked in the session's hold window before the host attaches.
 	// Populated only under SchemeSafetyNet.
-	ncoaIndex map[inet.Addr]*session
+	ncoaIndex inet.AddrTable[*session]
 	auth      *fho.Authenticator
 
 	// Free lists keep the steady-state handoff path allocation-free:
@@ -224,7 +226,7 @@ type AccessRouter struct {
 	// fallbackRoutes bounds the stale PCoA host routes installed by the
 	// no-session FNA fallback, which have no owning session to tear them
 	// down.
-	fallbackRoutes map[inet.Addr]*sim.Timer
+	fallbackRoutes inet.AddrTable[*sim.Timer]
 
 	authRejects       uint64
 	signalingFailures uint64
@@ -248,7 +250,16 @@ type AccessRouter struct {
 	// signaling-overhead accounting.
 	OnControl func(kind fho.Kind)
 
-	controlSent map[fho.Kind]uint64
+	controlSent [fho.KindBufferFull + 1]uint64
+	// wire is the scratch encoding that sizes each control message.
+	wire []byte
+}
+
+// apLink is one of the router's access points and the interface leading
+// to it.
+type apLink struct {
+	name  string
+	iface *netsim.Iface
 }
 
 // reserve claims buffer space per the configured grant policy, returning
@@ -302,18 +313,12 @@ func NewAccessRouter(engine *sim.Engine, router *netsim.Router, net inet.NetID,
 		cfg.Alloc = func() *inet.Packet { return new(inet.Packet) }
 	}
 	ar := &AccessRouter{
-		engine:         engine,
-		router:         router,
-		net:            net,
-		cfg:            cfg,
-		pool:           buffer.NewPool(cfg.PoolSize),
-		dir:            dir,
-		apIfaces:       make(map[string]*netsim.Iface),
-		apByIface:      make(map[*netsim.Iface]string),
-		sessions:       make(map[inet.Addr]*session),
-		ncoaIndex:      make(map[inet.Addr]*session),
-		fallbackRoutes: make(map[inet.Addr]*sim.Timer),
-		controlSent:    make(map[fho.Kind]uint64),
+		engine: engine,
+		router: router,
+		net:    net,
+		cfg:    cfg,
+		pool:   buffer.NewPool(cfg.PoolSize),
+		dir:    dir,
 	}
 	ar.auth = fho.NewAuthenticator(cfg.AuthKey)
 	router.Intercept = ar.intercept
@@ -335,10 +340,15 @@ func (ar *AccessRouter) Pool() *buffer.Pool { return ar.pool }
 
 // ControlSent returns how many control messages of the given kind this
 // router originated.
-func (ar *AccessRouter) ControlSent(kind fho.Kind) uint64 { return ar.controlSent[kind] }
+func (ar *AccessRouter) ControlSent(kind fho.Kind) uint64 {
+	if int(kind) >= len(ar.controlSent) {
+		return 0
+	}
+	return ar.controlSent[kind]
+}
 
 // Sessions returns the number of live handoff sessions.
-func (ar *AccessRouter) Sessions() int { return len(ar.sessions) }
+func (ar *AccessRouter) Sessions() int { return ar.sessions.Len() }
 
 // PoolGrants counts buffer reservations the router granted.
 func (ar *AccessRouter) PoolGrants() uint64 { return ar.poolGrants }
@@ -380,12 +390,29 @@ func (ar *AccessRouter) SetAuthKey(key []byte) { ar.auth = fho.NewAuthenticator(
 // leading to it, and publishes it in the directory. The first AP becomes
 // the default target for arriving handoffs.
 func (ar *AccessRouter) AddAP(name string, iface *netsim.Iface) {
-	ar.apIfaces[name] = iface
-	ar.apByIface[iface] = name
-	if ar.defaultAP == nil {
-		ar.defaultAP = iface
-	}
+	ar.aps = append(ar.aps, apLink{name: name, iface: iface})
 	ar.dir.Register(name, ARInfo{Addr: ar.router.Addr(), Net: ar.net})
+}
+
+// ownAP reports whether the named access point is one of this router's.
+func (ar *AccessRouter) ownAP(name string) bool {
+	for _, ap := range ar.aps {
+		if ap.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// fromAP reports whether iface leads to one of this router's access
+// points (a router has one or two).
+func (ar *AccessRouter) fromAP(iface *netsim.Iface) bool {
+	for _, ap := range ar.aps {
+		if ap.iface == iface {
+			return true
+		}
+	}
+	return false
 }
 
 // AttachResident installs the host route for a mobile host living on this
@@ -408,7 +435,7 @@ func (ar *AccessRouter) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	if pkt.Proto == inet.ProtoControl {
 		return false // control traffic is never redirected or buffered
 	}
-	if s, ok := ar.sessions[pkt.Dst]; ok && s.redirecting &&
+	if s, ok := ar.sessions.Get(pkt.Dst); ok && s.redirecting &&
 		(s.role == rolePAR || s.role == roleLinkLayer) {
 		ar.redirect(s, pkt)
 		return true
@@ -418,15 +445,15 @@ func (ar *AccessRouter) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	// session's hold window; once released, fall through to the installed
 	// NCoA route (the host's dedup window absorbs any redundancy).
 	if ar.cfg.Scheme == SchemeSafetyNet && pkt.Proto == inet.ProtoTunnel {
-		if s, ok := ar.ncoaIndex[pkt.Dst]; ok && s.role == roleNAR && !s.released {
+		if s, ok := ar.ncoaIndex.Get(pkt.Dst); ok && s.role == roleNAR && !s.released {
 			ar.holdBicast(s, pkt)
 			return true
 		}
 	}
 	// Reverse tunnel: uplink from the mobile host still sourced from the
 	// PCoA while attached at the NAR is tunnelled back to the PAR.
-	if s, ok := ar.sessions[pkt.Src]; ok && s.role == roleNAR && !s.peer.IsUnspecified() {
-		if _, fromAP := ar.apByIface[in]; fromAP {
+	if s, ok := ar.sessions.Get(pkt.Src); ok && s.role == roleNAR && !s.peer.IsUnspecified() {
+		if ar.fromAP(in) {
 			ar.router.Forward(pkt.EncapsulateInto(ar.cfg.Alloc(), ar.router.Addr(), s.peer))
 			return true
 		}
@@ -473,7 +500,7 @@ func (ar *AccessRouter) handleTunnel(pkt *inet.Packet) bool {
 	if ar.cfg.Release != nil {
 		ar.cfg.Release(pkt)
 	}
-	if s, ok := ar.sessions[inner.Dst]; ok && s.role == roleNAR {
+	if s, ok := ar.sessions.Get(inner.Dst); ok && s.role == roleNAR {
 		ar.narData(s, inner)
 		return true
 	}
@@ -489,7 +516,7 @@ func (ar *AccessRouter) handleRtSolPr(in *netsim.Iface, pkt *inet.Packet, msg *f
 		return // unauthenticated solicitations are not answered
 	}
 	if msg.BI != nil && msg.BI.Cancelled() {
-		if s, ok := ar.sessions[msg.MH]; ok {
+		if s, ok := ar.sessions.Get(msg.MH); ok {
 			// The host stays on this router: release anything already
 			// buffered back through the (still installed) resident route.
 			s.redirecting = false
@@ -500,7 +527,7 @@ func (ar *AccessRouter) handleRtSolPr(in *netsim.Iface, pkt *inet.Packet, msg *f
 		}
 		return
 	}
-	if s, ok := ar.sessions[msg.MH]; ok {
+	if s, ok := ar.sessions.Get(msg.MH); ok {
 		// Duplicate solicitation (retry after a lost answer): re-drive the
 		// handshake idempotently instead of stalling the host.
 		switch s.role {
@@ -529,7 +556,7 @@ func (ar *AccessRouter) handleRtSolPr(in *netsim.Iface, pkt *inet.Packet, msg *f
 		}
 		return
 	}
-	if _, own := ar.apIfaces[msg.TargetAP]; own && msg.TargetAP != "" {
+	if msg.TargetAP != "" && ar.ownAP(msg.TargetAP) {
 		ar.initLinkLayerHandoff(pkt, msg)
 		return
 	}
@@ -549,7 +576,7 @@ func (ar *AccessRouter) initLinkLayerHandoff(pkt *inet.Packet, msg *fho.RtSolPr)
 			s.avail = buffer.Availability{PAR: true}
 		}
 	}
-	ar.sessions[msg.MH] = s
+	ar.sessions.Set(msg.MH, s)
 	ar.armTimers(s, msg.BI)
 	ar.sendControl(msg.MH, &fho.PrRtAdv{
 		NAR:           ar.router.Addr(),
@@ -570,7 +597,7 @@ func (ar *AccessRouter) initLinkLayerHandoff(pkt *inet.Packet, msg *fho.RtSolPr)
 // whether the handover was initiated (false: unknown AP, or one already in
 // flight for this host).
 func (ar *AccessRouter) InitiateHandover(pcoa inet.Addr, targetAP string, bufferPackets int) bool {
-	if _, ok := ar.sessions[pcoa]; ok {
+	if _, ok := ar.sessions.Get(pcoa); ok {
 		return false
 	}
 	info, ok := ar.dir.Lookup(targetAP)
@@ -615,7 +642,7 @@ func (ar *AccessRouter) initNetworkHandoff(pkt *inet.Packet, msg *fho.RtSolPr) {
 			s.avail.PAR = true
 		}
 	}
-	ar.sessions[msg.MH] = s
+	ar.sessions.Set(msg.MH, s)
 	ar.armTimers(s, msg.BI)
 
 	hi := &fho.HI{
@@ -652,7 +679,7 @@ func (ar *AccessRouter) sendHI(s *session, hi *fho.HI) {
 // it degrades to the reactive (no-anticipation) path instead of waiting on
 // a session that will never complete.
 func (ar *AccessRouter) retryHI(s *session) {
-	if cur, ok := ar.sessions[s.pcoa]; !ok || cur != s || s.lastHI == nil {
+	if cur, ok := ar.sessions.Get(s.pcoa); !ok || cur != s || s.lastHI == nil {
 		return
 	}
 	if s.hiTries >= ar.cfg.MaxSignalTries {
@@ -702,7 +729,7 @@ func (ar *AccessRouter) handleHI(in *netsim.Iface, pkt *inet.Packet, msg *fho.HI
 		ar.sendControl(pkt.Src, &fho.HAck{Accepted: false, PCoA: msg.PCoA})
 		return
 	}
-	if s, ok := ar.sessions[msg.PCoA]; ok && s.role == roleNAR {
+	if s, ok := ar.sessions.Get(msg.PCoA); ok && s.role == roleNAR {
 		// Duplicate HI (retry after a lost HAck): re-acknowledge with the
 		// existing session's grant.
 		hack := &fho.HAck{Accepted: true, PCoA: msg.PCoA}
@@ -736,14 +763,14 @@ func (ar *AccessRouter) handleHI(in *netsim.Iface, pkt *inet.Packet, msg *fho.HI
 		s.lifeTimer = sim.NewTimer(ar.engine, func() { ar.expire(s) })
 	}
 	s.lifeTimer.Reset(life)
-	ar.sessions[msg.PCoA] = s
+	ar.sessions.Set(msg.PCoA, s)
 	if ar.cfg.Scheme == SchemeSafetyNet {
-		ar.ncoaIndex[s.ncoa] = s
+		ar.ncoaIndex.Set(s.ncoa, s)
 	}
 	// Host route so redirected (and forward-only) packets for the PCoA
 	// reach the radio.
-	if ar.defaultAP != nil {
-		ar.router.AddHostRoute(msg.PCoA, ar.defaultAP)
+	if len(ar.aps) > 0 {
+		ar.router.AddHostRoute(msg.PCoA, ar.aps[0].iface)
 	}
 	ar.sendControl(s.peer, hack)
 }
@@ -751,7 +778,7 @@ func (ar *AccessRouter) handleHI(in *netsim.Iface, pkt *inet.Packet, msg *fho.HI
 // handleHAck completes the negotiation at the PAR and advertises the
 // outcome to the mobile host.
 func (ar *AccessRouter) handleHAck(msg *fho.HAck) {
-	s, ok := ar.sessions[msg.PCoA]
+	s, ok := ar.sessions.Get(msg.PCoA)
 	if !ok || s.role != rolePAR {
 		return
 	}
@@ -789,7 +816,7 @@ func (ar *AccessRouter) handleFBU(msg *fho.FBU) {
 		ar.authRejects++
 		return
 	}
-	s, ok := ar.sessions[msg.PCoA]
+	s, ok := ar.sessions.Get(msg.PCoA)
 	if !ok || s.role == roleNAR {
 		return
 	}
@@ -894,7 +921,7 @@ func (ar *AccessRouter) narData(s *session, pkt *inet.Packet) {
 
 // handleBufferFull flips the Case 1.b overflow switch at the PAR.
 func (ar *AccessRouter) handleBufferFull(msg *fho.BufferFull) {
-	if s, ok := ar.sessions[msg.PCoA]; ok && s.role == rolePAR {
+	if s, ok := ar.sessions.Get(msg.PCoA); ok && s.role == rolePAR {
 		s.narFull = true
 	}
 }
@@ -908,7 +935,7 @@ func (ar *AccessRouter) handleFNA(in *netsim.Iface, msg *fho.FNA) {
 		ar.authRejects++
 		return // unauthenticated host: no routes, no release
 	}
-	s, ok := ar.sessions[msg.PCoA]
+	s, ok := ar.sessions.Get(msg.PCoA)
 	if !ok || s.role != roleNAR {
 		// Host attached without a prepared session (no-anticipation
 		// fallback): just install the routes. The PCoA route has no owning
@@ -947,7 +974,7 @@ func (ar *AccessRouter) handleFNA(in *netsim.Iface, msg *fho.FNA) {
 	// lives here.
 	if s.graceTimer == nil {
 		s.graceTimer = sim.NewTimer(ar.engine, func() {
-			if cur, ok := ar.sessions[s.pcoa]; ok && cur == s {
+			if cur, ok := ar.sessions.Get(s.pcoa); ok && cur == s {
 				ar.closeSession(s, false)
 			}
 		})
@@ -961,7 +988,7 @@ func (ar *AccessRouter) handleFNA(in *netsim.Iface, msg *fho.FNA) {
 // BF only hastens the PAR's buffer release, and the PAR's session lifetime
 // is the backstop if every copy is lost.
 func (ar *AccessRouter) retryBF(s *session) {
-	if cur, ok := ar.sessions[s.pcoa]; !ok || cur != s || s.bfTries >= ar.cfg.MaxSignalTries {
+	if cur, ok := ar.sessions.Get(s.pcoa); !ok || cur != s || s.bfTries >= ar.cfg.MaxSignalTries {
 		return
 	}
 	s.bfTries++
@@ -983,16 +1010,16 @@ func (ar *AccessRouter) boundFallbackRoute(pcoa, ncoa inet.Addr) {
 	if pcoa == ncoa {
 		return
 	}
-	t, ok := ar.fallbackRoutes[pcoa]
+	t, ok := ar.fallbackRoutes.Get(pcoa)
 	if !ok {
 		t = sim.NewTimer(ar.engine, func() {
-			delete(ar.fallbackRoutes, pcoa)
-			if _, owned := ar.sessions[pcoa]; owned {
+			ar.fallbackRoutes.Delete(pcoa)
+			if _, owned := ar.sessions.Get(pcoa); owned {
 				return
 			}
 			ar.router.RemoveHostRoute(pcoa)
 		})
-		ar.fallbackRoutes[pcoa] = t
+		ar.fallbackRoutes.Set(pcoa, t)
 	}
 	t.Reset(DefaultFallbackRouteLifetime)
 }
@@ -1000,7 +1027,7 @@ func (ar *AccessRouter) boundFallbackRoute(pcoa, ncoa inet.Addr) {
 // handleBF releases the PAR's buffer: drain toward the NAR (or, for a
 // link-layer handoff, toward the arrival interface) and end the session.
 func (ar *AccessRouter) handleBF(in *netsim.Iface, msg *fho.BF) {
-	s, ok := ar.sessions[msg.PCoA]
+	s, ok := ar.sessions.Get(msg.PCoA)
 	if !ok {
 		return
 	}
@@ -1189,7 +1216,7 @@ func (j *drainJob) fire() {
 // expire fires when a session's buffering lifetime lapses before release:
 // buffered packets are dropped and the space reclaimed.
 func (ar *AccessRouter) expire(s *session) {
-	if cur, ok := ar.sessions[s.pcoa]; !ok || cur != s {
+	if cur, ok := ar.sessions.Get(s.pcoa); !ok || cur != s {
 		return
 	}
 	if s.buf != nil {
@@ -1244,11 +1271,11 @@ func (ar *AccessRouter) closeSession(s *session, expired bool) {
 	}
 	if s.role == roleNAR {
 		ar.router.RemoveHostRoute(s.pcoa)
-		if cur, ok := ar.ncoaIndex[s.ncoa]; ok && cur == s {
-			delete(ar.ncoaIndex, s.ncoa)
+		if cur, ok := ar.ncoaIndex.Get(s.ncoa); ok && cur == s {
+			ar.ncoaIndex.Delete(s.ncoa)
 		}
 	}
-	delete(ar.sessions, s.pcoa)
+	ar.sessions.Delete(s.pcoa)
 	ar.freeSession(s)
 	_ = expired
 }
@@ -1305,11 +1332,12 @@ func (ar *AccessRouter) sendControl(dst inet.Addr, msg fho.Message) {
 	if ar.OnControl != nil {
 		ar.OnControl(msg.Kind())
 	}
+	ar.wire = fho.AppendEncode(ar.wire[:0], msg)
 	ar.router.Forward(&inet.Packet{
 		Src:     ar.router.Addr(),
 		Dst:     dst,
 		Proto:   inet.ProtoControl,
-		Size:    fho.WireSize(msg),
+		Size:    fho.ControlHeaderSize + len(ar.wire),
 		Created: ar.engine.Now(),
 		Payload: msg,
 	})

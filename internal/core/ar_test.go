@@ -428,3 +428,33 @@ func TestSchemeOpDualTreatsAllAsHP(t *testing.T) {
 		}
 	}
 }
+
+// TestControlPacketsSizedByTheirEncoding checks the routers' control
+// sizing end to end: every control packet a router sends during a
+// negotiated handoff is ControlHeaderSize plus its encoded length.
+func TestControlPacketsSizedByTheirEncoding(t *testing.T) {
+	h := newARHarness(t, ARConfig{Scheme: SchemeEnhanced, PoolSize: 40, Alpha: 2})
+	kinds := make(map[fho.Kind]int)
+	for _, r := range []*AccessRouter{h.par, h.nar} {
+		for _, ifc := range r.Router().Ifaces() {
+			ifc.Impair = func(pkt *inet.Packet) bool {
+				if m, ok := pkt.Payload.(fho.Message); ok {
+					kinds[m.Kind()]++
+					if want := fho.ControlHeaderSize + len(fho.Encode(m)); pkt.Size != want {
+						t.Errorf("%s sent with size %d, want %d", m.Kind(), pkt.Size, want)
+					}
+				}
+				return false
+			}
+		}
+	}
+	h.solicit(20)
+	h.run(t, 100*sim.Millisecond)
+	h.fbu()
+	h.run(t, 100*sim.Millisecond)
+	for _, k := range []fho.Kind{fho.KindHI, fho.KindHAck, fho.KindFBAck} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s seen on the wire (saw %v)", k, kinds)
+		}
+	}
+}

@@ -234,6 +234,9 @@ type MobileHost struct {
 	flowSeen      []flowDedup
 	dedupDiscards uint64
 
+	// wire is the scratch encoding that sizes each control message.
+	wire []byte
+
 	// OnDeliver receives every application packet (innermost, tunnels
 	// stripped) addressed to the host.
 	OnDeliver func(pkt *inet.Packet)
@@ -1021,11 +1024,12 @@ func (mh *MobileHost) sendControl(dst inet.Addr, msg fho.Message) {
 	if mh.OnControl != nil {
 		mh.OnControl(msg.Kind())
 	}
+	mh.wire = fho.AppendEncode(mh.wire[:0], msg)
 	mh.station.Send(&inet.Packet{
 		Src:     mh.lcoa,
 		Dst:     dst,
 		Proto:   inet.ProtoControl,
-		Size:    fho.WireSize(msg),
+		Size:    fho.ControlHeaderSize + len(mh.wire),
 		Created: mh.engine.Now(),
 		Payload: msg,
 	})

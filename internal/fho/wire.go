@@ -22,8 +22,13 @@ var ErrTruncated = errors.New("fho: truncated message")
 const ControlHeaderSize = 48
 
 // Encode serializes a message (kind byte + body).
-func Encode(m Message) []byte {
-	return m.appendTo([]byte{byte(m.Kind())})
+func Encode(m Message) []byte { return AppendEncode(nil, m) }
+
+// AppendEncode appends the encoding of m to dst and returns the extended
+// slice. A sender that reuses dst sizes its control packets without
+// allocating.
+func AppendEncode(dst []byte, m Message) []byte {
+	return m.appendTo(append(dst, byte(m.Kind())))
 }
 
 // Decode parses a message produced by Encode.

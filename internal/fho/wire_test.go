@@ -92,6 +92,33 @@ func TestWireSizeIncludesHeader(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeSizesEveryKind pins the control sizing the senders use:
+// appending into a reused scratch slice yields Encode's bytes, so the
+// packet size is ControlHeaderSize+len(Encode(m)) for every message kind,
+// and a warm scratch sizes a message without allocating.
+func TestAppendEncodeSizesEveryKind(t *testing.T) {
+	seen := make(map[Kind]bool)
+	scratch := make([]byte, 0, 8)
+	for _, m := range sampleMessages() {
+		seen[m.Kind()] = true
+		scratch = AppendEncode(scratch[:0], m)
+		if !bytes.Equal(scratch, Encode(m)) {
+			t.Fatalf("%s: AppendEncode = %x, Encode = %x", m.Kind(), scratch, Encode(m))
+		}
+		if got, want := ControlHeaderSize+len(scratch), ControlHeaderSize+len(Encode(m)); got != want || got != WireSize(m) {
+			t.Fatalf("%s: scratch size %d, want %d (WireSize %d)", m.Kind(), got, want, WireSize(m))
+		}
+		if avg := testing.AllocsPerRun(50, func() { scratch = AppendEncode(scratch[:0], m) }); avg != 0 {
+			t.Fatalf("%s: AppendEncode into a warm scratch allocates %.2f times; want 0", m.Kind(), avg)
+		}
+	}
+	for k := KindRtSolPr; k <= KindBufferFull; k++ {
+		if !seen[k] {
+			t.Errorf("no sample message of kind %s", k)
+		}
+	}
+}
+
 // The selective-delivery report is a trailing extension: report-free FNAs
 // must stay byte-identical to the pre-Report wire format, and a
 // report-carrying FNA must round-trip.

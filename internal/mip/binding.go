@@ -27,31 +27,29 @@ type Binding struct {
 // BindingCache is a lifetime-aware binding table. Expiry is lazy: Lookup
 // ignores lapsed entries, and Update or Remove replaces or deletes them.
 type BindingCache struct {
-	entries map[inet.Addr]Binding
+	entries inet.AddrTable[Binding]
 }
 
 // NewBindingCache returns an empty cache.
-func NewBindingCache() *BindingCache {
-	return &BindingCache{entries: make(map[inet.Addr]Binding)}
-}
+func NewBindingCache() *BindingCache { return &BindingCache{} }
 
 // Len returns the number of entries, including lapsed ones.
-func (c *BindingCache) Len() int { return len(c.entries) }
+func (c *BindingCache) Len() int { return c.entries.Len() }
 
 // Update installs or refreshes a binding. It returns false when a fresher
 // (higher-sequence) binding already exists for the key; equal sequence
 // numbers refresh the lifetime, as retransmitted binding updates must.
 func (c *BindingCache) Update(key, coa inet.Addr, seq uint16, lifetime, now sim.Time) bool {
-	if old, ok := c.entries[key]; ok && old.Expires > now && seqLess(seq, old.Seq) {
+	if old, ok := c.entries.Get(key); ok && old.Expires > now && seqLess(seq, old.Seq) {
 		return false
 	}
-	c.entries[key] = Binding{Key: key, CoA: coa, Expires: now + lifetime, Seq: seq}
+	c.entries.Set(key, Binding{Key: key, CoA: coa, Expires: now + lifetime, Seq: seq})
 	return true
 }
 
 // Lookup returns the live binding for key.
 func (c *BindingCache) Lookup(key inet.Addr, now sim.Time) (Binding, bool) {
-	b, ok := c.entries[key]
+	b, ok := c.entries.Get(key)
 	if !ok || b.Expires <= now {
 		return Binding{}, false
 	}
@@ -59,7 +57,7 @@ func (c *BindingCache) Lookup(key inet.Addr, now sim.Time) (Binding, bool) {
 }
 
 // Remove deletes a binding (deregistration: a zero-lifetime update).
-func (c *BindingCache) Remove(key inet.Addr) { delete(c.entries, key) }
+func (c *BindingCache) Remove(key inet.Addr) { c.entries.Delete(key) }
 
 // seqLess compares binding sequence numbers modulo 2^16 (RFC 3775 §9.5.1
 // style serial arithmetic).

@@ -125,3 +125,28 @@ func TestPropertyBindingMonotonicSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBindingLookupZeroAlloc pins the anchor's per-packet binding lookup:
+// a hit and a miss allocate nothing.
+func TestBindingLookupZeroAlloc(t *testing.T) {
+	c := NewBindingCache()
+	for h := uint32(1001); h <= 1500; h++ {
+		c.Update(addr(50, h), addr(2000, h-990), 0, 3600*sim.Second, 0)
+	}
+	for _, tc := range []struct {
+		name string
+		key  inet.Addr
+		want bool
+	}{
+		{"hit", addr(50, 1200), true},
+		{"miss", addr(50, 1600), false},
+	} {
+		var ok bool
+		if avg := testing.AllocsPerRun(200, func() { _, ok = c.Lookup(tc.key, sim.Second) }); avg != 0 {
+			t.Errorf("%s: Lookup allocates %.2f times; want 0", tc.name, avg)
+		}
+		if ok != tc.want {
+			t.Errorf("%s: Lookup(%v) found=%v, want %v", tc.name, tc.key, ok, tc.want)
+		}
+	}
+}

@@ -40,8 +40,8 @@ type Agent struct {
 	cache  *BindingCache
 
 	// bicast maps bound addresses under SafetyNet handoff to their
-	// duplication target (lazily created; nil outside SafetyNet runs).
-	bicast map[inet.Addr]bicastEntry
+	// duplication target (empty outside SafetyNet runs).
+	bicast inet.AddrTable[bicastEntry]
 
 	intercepted   uint64
 	noBinding     uint64
@@ -93,7 +93,7 @@ func (a *Agent) BicastBytes() uint64 { return a.bicastBytes }
 // BicastActive reports whether the key currently has an unexpired
 // duplication entry (tests and traces).
 func (a *Agent) BicastActive(key inet.Addr) bool {
-	e, ok := a.bicast[key]
+	e, ok := a.bicast.Get(key)
 	return ok && e.expire > a.engine.Now()
 }
 
@@ -116,7 +116,7 @@ func (a *Agent) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 		return true // consumed: no route for an unbound managed address
 	}
 	a.intercepted++
-	if len(a.bicast) > 0 {
+	if a.bicast.Len() > 0 {
 		a.maybeBicast(pkt, b.CoA)
 	}
 	a.router.Forward(pkt.EncapsulateInto(a.cfg.Alloc(), a.router.Addr(), b.CoA))
@@ -127,12 +127,12 @@ func (a *Agent) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 // bicast target. The copy of a plain packet and the tunnel wrapper come
 // from Alloc, keeping the duplicate path allocation-free.
 func (a *Agent) maybeBicast(pkt *inet.Packet, primary inet.Addr) {
-	e, ok := a.bicast[pkt.Dst]
+	e, ok := a.bicast.Get(pkt.Dst)
 	if !ok {
 		return
 	}
 	if e.expire <= a.engine.Now() {
-		delete(a.bicast, pkt.Dst)
+		a.bicast.Delete(pkt.Dst)
 		return
 	}
 	if e.ncoa == primary {
@@ -172,7 +172,7 @@ func (a *Agent) localDeliver(in *netsim.Iface, pkt *inet.Packet) bool {
 		}
 		if accepted {
 			// The handoff is over once the binding moves: stop duplicating.
-			delete(a.bicast, msg.Key)
+			a.bicast.Delete(msg.Key)
 		}
 		ack := &inet.Packet{
 			Src:     a.router.Addr(),
@@ -192,10 +192,7 @@ func (a *Agent) localDeliver(in *netsim.Iface, pkt *inet.Packet) bool {
 		if a.cfg.MaxLifetime > 0 && granted > a.cfg.MaxLifetime {
 			granted = a.cfg.MaxLifetime
 		}
-		if a.bicast == nil {
-			a.bicast = make(map[inet.Addr]bicastEntry)
-		}
-		a.bicast[msg.Key] = bicastEntry{ncoa: msg.NCoA, expire: a.engine.Now() + granted}
+		a.bicast.Set(msg.Key, bicastEntry{ncoa: msg.NCoA, expire: a.engine.Now() + granted})
 		return true
 	}
 	return false // not ours; router handles tunnels etc.

@@ -115,3 +115,40 @@ func TestUDPHopRecordedZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestRouteLookupZeroAlloc pins the per-hop route lookup: a host-route
+// hit, a prefix-route hit and a miss allocate nothing, with host routes
+// both inside a dense row and far past it.
+func TestRouteLookupZeroAlloc(t *testing.T) {
+	engine := sim.NewEngine()
+	topo := NewTopology(engine)
+	r := NewRouter("r", inet.Addr{Net: 3, Host: 1})
+	h := NewHost("h", inet.Addr{Net: 9, Host: 1})
+	via := topo.Connect(r, h, LinkConfig{Delay: sim.Millisecond}).A()
+	for _, n := range []inet.NetID{1, 50, 1000, 2001} {
+		r.AddPrefixRoute(n, via)
+	}
+	for host := inet.HostID(10); host < 510; host++ {
+		r.AddHostRoute(inet.Addr{Net: 2, Host: host}, via)
+	}
+	far := inet.Addr{Net: 2, Host: 1 << 30}
+	r.AddHostRoute(far, via)
+	for _, tc := range []struct {
+		name string
+		dst  inet.Addr
+		want *Iface
+	}{
+		{"host-route", inet.Addr{Net: 2, Host: 300}, via},
+		{"far-host-route", far, via},
+		{"prefix", inet.Addr{Net: 1000, Host: 1}, via},
+		{"miss", inet.Addr{Net: 7, Host: 300}, nil},
+	} {
+		var got *Iface
+		if avg := testing.AllocsPerRun(200, func() { got = r.Route(tc.dst) }); avg != 0 {
+			t.Errorf("%s: Route allocates %.2f times per lookup; want 0", tc.name, avg)
+		}
+		if got != tc.want {
+			t.Errorf("%s: Route(%v) = %v, want %v", tc.name, tc.dst, got, tc.want)
+		}
+	}
+}

@@ -13,8 +13,10 @@ type Router struct {
 	addr   inet.Addr
 	ifaces []*Iface
 
-	prefixRoutes map[inet.NetID]*Iface
-	hostRoutes   map[inet.Addr]*Iface
+	// The routing tables are dense address tables (DESIGN.md "Per-packet
+	// lookups"): Route costs a row scan and an array load per table.
+	prefixRoutes inet.NetTable[*Iface]
+	hostRoutes   inet.AddrTable[*Iface]
 
 	// Intercept is consulted for every packet before normal forwarding.
 	// Returning true means the hook consumed the packet. The fast-handover
@@ -36,12 +38,7 @@ type Router struct {
 
 // NewRouter creates a router with the given name and its own address.
 func NewRouter(name string, addr inet.Addr) *Router {
-	return &Router{
-		name:         name,
-		addr:         addr,
-		prefixRoutes: make(map[inet.NetID]*Iface),
-		hostRoutes:   make(map[inet.Addr]*Iface),
-	}
+	return &Router{name: name, addr: addr}
 }
 
 // Name implements Node.
@@ -61,22 +58,23 @@ func (r *Router) AttachIface(ifc *Iface) { r.ifaces = append(r.ifaces, ifc) }
 
 // AddPrefixRoute installs (or replaces) the next-hop interface for a
 // network.
-func (r *Router) AddPrefixRoute(n inet.NetID, via *Iface) { r.prefixRoutes[n] = via }
+func (r *Router) AddPrefixRoute(n inet.NetID, via *Iface) { r.prefixRoutes.Set(n, via) }
 
 // AddHostRoute installs (or replaces) a host-specific route, which takes
 // precedence over prefix routes. Fast handover uses host routes at the NAR
 // for the mobile host's previous care-of address.
-func (r *Router) AddHostRoute(a inet.Addr, via *Iface) { r.hostRoutes[a] = via }
+func (r *Router) AddHostRoute(a inet.Addr, via *Iface) { r.hostRoutes.Set(a, via) }
 
 // RemoveHostRoute deletes a host route.
-func (r *Router) RemoveHostRoute(a inet.Addr) { delete(r.hostRoutes, a) }
+func (r *Router) RemoveHostRoute(a inet.Addr) { r.hostRoutes.Delete(a) }
 
 // Route returns the forwarding interface for dst, or nil if none.
 func (r *Router) Route(dst inet.Addr) *Iface {
-	if via, ok := r.hostRoutes[dst]; ok {
+	if via, ok := r.hostRoutes.Get(dst); ok {
 		return via
 	}
-	return r.prefixRoutes[dst.Net]
+	via, _ := r.prefixRoutes.Get(dst.Net)
+	return via
 }
 
 // HandlePacket implements Node.

@@ -202,7 +202,7 @@ func (ap *AccessPoint) airArrive() {
 // state, and coverage are evaluated on it at the arrival instant exactly
 // as the classic scan did.
 func (ap *AccessPoint) deliver(pkt *inet.Packet) {
-	if s := ap.medium.addrIndex[pkt.Dst]; s != nil &&
+	if s := ap.medium.owner(pkt.Dst); s != nil &&
 		s.ap == ap && s.CanReceive() && ap.Covers(s.Pos(ap.engine.Now())) {
 		s.deliverPacket(pkt)
 		return

@@ -24,26 +24,34 @@ func TestAddrIndexChurn(t *testing.T) {
 	b := NewStation("b", m, Fixed(1), StationConfig{})
 	addr := inet.Addr{Net: 1, Host: 1}
 
+	indexed := func() *Station {
+		s, _ := m.addrIndex.Get(addr)
+		return s
+	}
+
 	a.AddAddr(addr)
-	if m.addrIndex[addr] != a {
+	if indexed() != a {
 		t.Fatalf("addr not indexed to a")
 	}
 	a.AddAddr(addr) // idempotent re-add by the owner
-	if m.addrIndex[addr] != a {
+	if indexed() != a {
 		t.Fatalf("re-add changed the owner")
 	}
 	a.RemoveAddr(addr)
-	if _, ok := m.addrIndex[addr]; ok {
+	if _, ok := m.addrIndex.Get(addr); ok {
 		t.Fatalf("addr still indexed after removal")
 	}
 	b.AddAddr(addr) // released addresses can be reclaimed
-	if m.addrIndex[addr] != b {
+	if indexed() != b {
 		t.Fatalf("addr not indexed to b after reclaim")
 	}
 	// Removing an address you no longer own must not evict the new owner.
 	a.RemoveAddr(addr)
-	if m.addrIndex[addr] != b {
+	if indexed() != b {
 		t.Fatalf("stale removal evicted the new owner")
+	}
+	if a.HasAddr(addr) || !b.HasAddr(addr) {
+		t.Fatalf("HasAddr disagrees with the index: a=%v b=%v", a.HasAddr(addr), b.HasAddr(addr))
 	}
 }
 
@@ -213,5 +221,33 @@ func TestBucketBoundaryCrossing(t *testing.T) {
 	}
 	if err := e2.RunAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddrIndexLookupZeroAlloc pins the downlink delivery lookup
+// (AccessPoint.deliver's owner probe): a hit and a miss allocate nothing.
+func TestAddrIndexLookupZeroAlloc(t *testing.T) {
+	m := NewMedium(sim.NewEngine())
+	var owned *Station
+	for i := 0; i < 500; i++ {
+		s := NewStation(fmt.Sprintf("s%d", i), m, Fixed(0), StationConfig{})
+		s.AddAddr(inet.Addr{Net: 2000, Host: inet.HostID(10 + i)})
+		owned = s
+	}
+	for _, tc := range []struct {
+		name string
+		addr inet.Addr
+		want *Station
+	}{
+		{"hit", inet.Addr{Net: 2000, Host: 509}, owned},
+		{"miss", inet.Addr{Net: 2001, Host: 509}, nil},
+	} {
+		var got *Station
+		if avg := testing.AllocsPerRun(200, func() { got = m.owner(tc.addr) }); avg != 0 {
+			t.Errorf("%s: owner lookup allocates %.2f times; want 0", tc.name, avg)
+		}
+		if got != tc.want {
+			t.Errorf("%s: owner(%v) = %v, want %v", tc.name, tc.addr, got, tc.want)
+		}
 	}
 }

@@ -11,17 +11,18 @@ import (
 // Medium is the registry of radios sharing the simulated air. It exists so
 // beacons and frames can find the stations in coverage. Two indexes keep
 // the data plane O(1) in the station population (DESIGN.md §13): an
-// addr→station map for downlink delivery and a position-bucket index for
+// addr→station table for downlink delivery and a position-bucket index for
 // beacon coverage scans.
 type Medium struct {
 	engine   *sim.Engine
 	aps      []*AccessPoint
 	stations []*Station
 
-	// addrIndex names the sole station accepting each address. Addresses
-	// are single-owner: claimAddr panics if a second station claims a
-	// live address, which pins the invariant the index depends on.
-	addrIndex map[inet.Addr]*Station
+	// addrIndex names the sole station accepting each address; it is the
+	// only record of which addresses a station accepts. Addresses are
+	// single-owner: claimAddr panics if a second station claims a live
+	// address, which pins the invariant the index depends on.
+	addrIndex inet.AddrTable[*Station]
 
 	buckets bucketIndex
 }
@@ -31,7 +32,7 @@ func NewMedium(engine *sim.Engine) *Medium {
 	if engine == nil {
 		panic("wireless: NewMedium with nil engine")
 	}
-	return &Medium{engine: engine, addrIndex: make(map[inet.Addr]*Station)}
+	return &Medium{engine: engine}
 }
 
 // Engine returns the simulation engine.
@@ -48,19 +49,25 @@ func (m *Medium) addStation(s *Station) {
 // APs returns the registered access points.
 func (m *Medium) APs() []*AccessPoint { return m.aps }
 
+// owner returns the station accepting a, or nil.
+func (m *Medium) owner(a inet.Addr) *Station {
+	s, _ := m.addrIndex.Get(a)
+	return s
+}
+
 func (m *Medium) claimAddr(a inet.Addr, s *Station) {
-	if cur, ok := m.addrIndex[a]; ok {
+	if cur := m.owner(a); cur != nil {
 		if cur != s {
 			panic(fmt.Sprintf("wireless: address %v claimed by %s while owned by %s", a, s.name, cur.name))
 		}
 		return
 	}
-	m.addrIndex[a] = s
+	m.addrIndex.Set(a, s)
 }
 
 func (m *Medium) releaseAddr(a inet.Addr, s *Station) {
-	if m.addrIndex[a] == s {
-		delete(m.addrIndex, a)
+	if m.owner(a) == s {
+		m.addrIndex.Delete(a)
 	}
 }
 
@@ -99,8 +106,6 @@ type Station struct {
 
 	ap        *AccessPoint
 	switching bool
-
-	addrs map[inet.Addr]bool
 
 	// Uplink transmitter (DESIGN.md §13): the analytic clock, the FIFO of
 	// admitted frames awaiting their arrival event — each carrying the AP
@@ -145,7 +150,6 @@ func NewStation(name string, medium *Medium, motion Motion, cfg StationConfig) *
 		engine: medium.engine,
 		medium: medium,
 		motion: motion,
-		addrs:  make(map[inet.Addr]bool),
 	}
 	s.airFn = s.airArrive
 	s.flushFn = s.settle
@@ -202,21 +206,14 @@ func (s *Station) QueueLen() int {
 
 // AddAddr registers an address the station accepts (care-of addresses come
 // and go during handovers) and indexes it for O(1) downlink delivery.
-func (s *Station) AddAddr(a inet.Addr) {
-	s.addrs[a] = true
-	s.medium.claimAddr(a, s)
-}
+func (s *Station) AddAddr(a inet.Addr) { s.medium.claimAddr(a, s) }
 
 // RemoveAddr deregisters an address.
-func (s *Station) RemoveAddr(a inet.Addr) {
-	delete(s.addrs, a)
-	s.medium.releaseAddr(a, s)
-}
+func (s *Station) RemoveAddr(a inet.Addr) { s.medium.releaseAddr(a, s) }
 
-// HasAddr reports whether the station currently accepts an address.
-func (s *Station) HasAddr(a inet.Addr) bool { return s.addrs[a] }
-
-func (s *Station) accepts(a inet.Addr) bool { return s.addrs[a] }
+// HasAddr reports whether the station currently accepts an address: the
+// medium's index names it as the owner.
+func (s *Station) HasAddr(a inet.Addr) bool { return s.medium.owner(a) == s }
 
 func (s *Station) hearsBeacons() bool { return !s.switching }
 
