@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleAndRun measures raw engine throughput: schedule-heavy
 // workloads in the network simulator are bounded by this loop.
@@ -35,11 +38,21 @@ func BenchmarkTimerReset(b *testing.B) {
 // BenchmarkSchedulerChurn holds a steady window of pending events and
 // replaces one per operation: the hold-pattern churn the queue sees in a
 // running simulation.
-func BenchmarkSchedulerChurn(b *testing.B) {
+func BenchmarkSchedulerChurn(b *testing.B) { benchChurn(b, 4096) }
+
+// BenchmarkSchedulerDepth is BenchmarkSchedulerChurn at depths from 16 to
+// 4096 pending events, the sweep deepQueue is chosen from: a heap pop
+// costs more the deeper the heap, a bucket refill does not.
+func BenchmarkSchedulerDepth(b *testing.B) {
+	for window := 16; window <= 4096; window *= 2 {
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) { benchChurn(b, window) })
+	}
+}
+
+func benchChurn(b *testing.B, window int) {
 	e := NewEngine()
 	rng := NewRNG(1)
 	fn := func() {}
-	const window = 4096
 	for i := 0; i < window; i++ {
 		e.Schedule(Time(rng.Intn(1000))*Microsecond, fn)
 	}
@@ -100,6 +113,54 @@ func BenchmarkSchedulerMetroMix(b *testing.B) {
 		e.Schedule(rng.Jitter(period), tick)
 	}
 	// Let the guard timers fill their cancelled backlog.
+	if err := e.Run(10 * period); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkSchedulerShallowMix holds the queue mix a small thesis topology
+// keeps pending, 21 queued entries on average (the thesis-figures census
+// reads 22), and fires one event per operation:
+//   - 8 tickers with a 20 ms period in four pairs that share a phase, as
+//     flows started together do, so equal instants are common; each tick
+//     sends a short hop 0–1.5 ms out;
+//   - 2 beacons with a 100 ms period;
+//   - 4 binding-refresh timers, re-armed 5–15 s out;
+//   - one ticker resets a 120 ms guard timer on every tick, which keeps
+//     about 6 cancelled entries queued.
+//
+// The queue never reaches deepQueue, so this holds the plain heap's cost.
+func BenchmarkSchedulerShallowMix(b *testing.B) {
+	const period = 20 * Millisecond
+	e := NewEngine()
+	rng := NewRNG(1)
+	hop := func() {}
+	var refresh, beacon Handler
+	refresh = func() { e.Schedule(rng.Uniform(5*Second, 15*Second), refresh) }
+	beacon = func() { e.Schedule(100*Millisecond, beacon) }
+	for i := 0; i < 4; i++ {
+		e.Schedule(rng.Jitter(15*Second), refresh)
+	}
+	for i := 0; i < 2; i++ {
+		e.Schedule(rng.Jitter(100*Millisecond), beacon)
+	}
+	guard := NewTimer(e, hop)
+	for i := 0; i < 8; i++ {
+		var tick Handler
+		tick = func() {
+			e.Schedule(period, tick)
+			e.Schedule(rng.Jitter(1500*Microsecond), hop)
+			if i == 0 {
+				guard.Reset(6 * period)
+			}
+		}
+		e.Schedule(Time(i/2)*period/4, tick)
+	}
 	if err := e.Run(10 * period); err != nil {
 		b.Fatal(err)
 	}

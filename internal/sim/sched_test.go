@@ -41,18 +41,63 @@ type refCheck struct {
 
 func newRefCheck(t *testing.T) *refCheck { return &refCheck{t: t, e: NewEngine()} }
 
-// checkQueue asserts the heap's own invariants: every entry carries its
-// event's instant, and no entry sorts before its parent.
+// checkQueue asserts the queue's own invariants: every entry carries its
+// event's instant, and no heap entry sorts before its parent. In the deep
+// layout, heap entries are at or before base; every bucket entry is after
+// base and sits in the bucket bucketOf gives it; every block of a chain
+// but the first is full; and the masks name exactly the non-empty buckets.
+// In either layout, size is the heap plus the buckets.
 func (c *refCheck) checkQueue() {
 	c.t.Helper()
-	es := c.e.queue.es
-	for i, x := range es {
+	q := &c.e.queue
+	for i, x := range q.es {
 		if x.at != x.ev.at {
 			c.t.Fatalf("heap entry %d has instant %v, its event %v", i, x.at, x.ev.at)
 		}
-		if i > 0 && x.less(es[(i-1)/4]) {
+		if i > 0 && x.less(q.es[(i-1)/4]) {
 			c.t.Fatalf("heap entry %d sorts before its parent", i)
 		}
+		if q.deep && x.at > q.base {
+			c.t.Fatalf("heap entry %d at %v is after base %v", i, x.at, q.base)
+		}
+	}
+	if q.radix == nil {
+		if q.deep || q.nb != 0 {
+			c.t.Fatalf("no buckets, yet deep %v and %d bucket entries", q.deep, q.nb)
+		}
+		return
+	}
+	queued := 0
+	for l := range q.buckets {
+		for d, b := range q.buckets[l] {
+			n := int(q.fill[l][d])
+			if b == nil && n != 0 || b != nil && (n < 1 || n > blockLen) {
+				c.t.Fatalf("bucket (%d,%d) has %d entries in its first block", l, d, n)
+			}
+			if (b != nil) != (q.digits[l]>>d&1 == 1) {
+				c.t.Fatalf("bucket (%d,%d): digit mask %016b disagrees", l, d, q.digits[l])
+			}
+			for ; b != nil; b, n = b.next, blockLen {
+				for _, x := range b.es[:n] {
+					queued++
+					if x.at != x.ev.at {
+						c.t.Fatalf("bucket (%d,%d) entry has instant %v, its event %v", l, d, x.at, x.ev.at)
+					}
+					if !q.deep || x.at <= q.base {
+						c.t.Fatalf("bucket (%d,%d) holds %v with base %v (deep %v)", l, d, x.at, q.base, q.deep)
+					}
+					if bl, bd := q.bucketOf(x.at); bl != l || bd != d {
+						c.t.Fatalf("entry at %v sits in bucket (%d,%d), belongs in (%d,%d)", x.at, l, d, bl, bd)
+					}
+				}
+			}
+		}
+		if (q.digits[l] != 0) != (q.levels>>l&1 == 1) {
+			c.t.Fatalf("level %d: level mask %016b disagrees", l, q.levels)
+		}
+	}
+	if queued != q.nb || q.size() != len(q.es)+queued {
+		c.t.Fatalf("size %d, nb %d; the heap holds %d and the buckets %d", q.size(), q.nb, len(q.es), queued)
 	}
 }
 
@@ -313,6 +358,120 @@ func TestSchedulersAgree(t *testing.T) {
 			t.Fatalf("fired %d of 3 events", c.fired)
 		}
 	})
+
+	t.Run("deep", func(t *testing.T) {
+		// Queues past deepQueue: the switch to buckets, a sweep while
+		// bucketed, handlers that push and cancel while the buckets refill
+		// the heap, a horizon that stops before a peeked event (which
+		// moves base past the clock) followed by pushes before base, and
+		// the drain that folds the queue back into the heap.
+		for trial := 0; trial < 6; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial) + 500))
+			c := newRefCheck(t)
+			q := &c.e.queue
+			schedule := func() *refEvent {
+				var at Time
+				switch rng.Intn(4) {
+				case 0:
+					at = c.now + Time(rng.Intn(4)) // ties
+				case 1:
+					at = c.now + Time(rng.Int63n(int64(Millisecond)))
+				case 2:
+					at = c.now + Time(rng.Int63n(int64(Second)))
+				default:
+					at = c.now + Time(rng.Int63n(int64(100*Second)))
+				}
+				if rng.Intn(4) > 0 {
+					return c.at(at)
+				}
+				return c.pinned(at, at-Time(rng.Intn(3)), at-Time(rng.Intn(5)), uint64(rng.Int63n(int64(c.seq)+1)))
+			}
+			var evs []*refEvent
+			for i := 0; i < 3*deepQueue; i++ {
+				evs = append(evs, schedule())
+			}
+			if !q.deep {
+				t.Fatalf("trial %d: %d queued events left the queue shallow", trial, q.size())
+			}
+			// Cancel about 60%: the sweep runs once cancelled entries
+			// outnumber the live ones, which leaves the queue deep.
+			for _, ev := range evs {
+				if rng.Intn(5) < 3 {
+					c.cancel(ev)
+				}
+			}
+			if q.size() >= len(evs) || !q.deep {
+				t.Fatalf("trial %d: no sweep while bucketed (size %d, deep %v)", trial, q.size(), q.deep)
+			}
+			var sawDeep, sawFold bool
+			c.onFire = func(*refEvent) {
+				if q.deep {
+					sawDeep = true
+				} else if sawDeep {
+					sawFold = true
+				}
+				if c.seq < 4*deepQueue && rng.Intn(3) > 0 {
+					schedule()
+				}
+				if len(c.pending) > 0 && rng.Intn(4) == 0 {
+					c.cancel(c.pending[rng.Intn(len(c.pending))])
+				}
+			}
+			// Fire a few hundred events, then stop one nanosecond short of
+			// the next pending event: Run's peek has moved base onto it.
+			c.run(c.now + Second/2)
+			next := MaxTime
+			for _, ev := range c.pending {
+				next = min(next, ev.at)
+			}
+			if !q.deep || next == MaxTime || next <= c.now+1 {
+				t.Fatalf("trial %d: no gap before the next event at %v (now %v, deep %v)", trial, next, c.now, q.deep)
+			}
+			c.run(next - 1)
+			if q.base < next {
+				t.Fatalf("trial %d: base %v behind the peeked event at %v", trial, q.base, next)
+			}
+			// Pushes at and before base, from outside any handler, as the
+			// shard exchange schedules arrivals.
+			for k := 0; k < 8; k++ {
+				c.at(c.now + Time(rng.Int63n(int64(q.base-c.now)+1)))
+			}
+			c.run(MaxTime)
+			if !sawDeep || !sawFold || q.deep {
+				t.Fatalf("trial %d: deep %v, then folded %v; deep at the end %v", trial, sawDeep, sawFold, q.deep)
+			}
+		}
+	})
+
+	t.Run("reset-deep", func(t *testing.T) {
+		// Reset a bucketed engine, then replay a deep workload on it
+		// against the reference.
+		e := NewEngine()
+		fn := func() {}
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 2*deepQueue; i++ {
+			e.Schedule(Time(rng.Int63n(int64(Second))), fn)
+		}
+		if err := e.Run(Second / 4); err != nil {
+			t.Fatal(err)
+		}
+		if !e.queue.deep {
+			t.Fatalf("%d queued events left the queue shallow", e.queue.size())
+		}
+		e.Reset()
+		c := &refCheck{t: t, e: e}
+		c.checkQueue()
+		if e.queue.deep || e.queue.size() != 0 {
+			t.Fatalf("after Reset: deep %v, size %d", e.queue.deep, e.queue.size())
+		}
+		for i := 0; i < 2*deepQueue; i++ {
+			c.at(Time(rng.Int63n(int64(Second))))
+		}
+		c.run(MaxTime)
+		if c.fired != 2*deepQueue {
+			t.Fatalf("fired %d of %d events", c.fired, 2*deepQueue)
+		}
+	})
 }
 
 // TestSchedulersAgreeOnline checks the heap against the reference when
@@ -362,13 +521,17 @@ func TestSchedulersAgreeOnline(t *testing.T) {
 //   - AtPinned with a position drawn from the same set;
 //   - Cancel of a pending event;
 //   - At an instant of an event whose handler schedules up to three more;
-//   - Run to a horizon from the set.
+//   - Run to a horizon from the set;
+//   - At for deepQueue+1 events, at most twice per input, which takes the
+//     queue past its depth threshold: instants from the set, each plus an
+//     offset up to about a microsecond, so bucketed entries tie too.
 //
 // The input ends with a drain.
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 1, 0, 0})
 	f.Add([]byte{3, 0xff, 3, 0x10, 1, 0x21, 2, 7, 4, 2, 0, 0, 3, 0x33})
 	f.Add([]byte{1, 0x12, 1, 0x34, 1, 0x56, 0, 4, 2, 0, 2, 1, 4, 3, 3, 0x0f})
+	f.Add([]byte{5, 0x37, 2, 9, 4, 1, 3, 0xc5, 5, 0x80, 1, 0x2e, 4, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		instants := [4]Time{0, 1, 2, 1000}
 		c := newRefCheck(t)
@@ -388,9 +551,10 @@ func FuzzSchedulerOrder(f *testing.F) {
 			}
 			return 0
 		}
+		bulks := 0
 		for i := 0; i < len(data) && i < 1024; i += 2 {
 			op, a := data[i], arg(i+1)
-			switch op % 5 {
+			switch op % 6 {
 			case 0:
 				c.at(instants[a&3])
 			case 1:
@@ -403,6 +567,12 @@ func FuzzSchedulerOrder(f *testing.F) {
 				children[c.at(instants[a&3])] = a
 			case 4:
 				c.run(instants[a&3])
+			case 5:
+				if bulks++; bulks <= 2 {
+					for k := 0; k <= deepQueue; k++ {
+						c.at(instants[(int(a)+k)&3] + Time(int(a)*k%1021))
+					}
+				}
 			}
 		}
 		c.run(MaxTime)
@@ -517,9 +687,9 @@ func TestEngineReset(t *testing.T) {
 
 // TestZeroAllocHotPath enforces the steady-state allocation ceilings from
 // the acceptance criteria: Schedule, Step, and Cancel must not allocate
-// once the free list and queue capacity are warm.
+// once the free list and queue capacity are warm, in either queue layout.
 func TestZeroAllocHotPath(t *testing.T) {
-	// The subtest names the engine's 4-ary heap, the only scheduler.
+	// A shallow queue: the plain 4-ary heap.
 	t.Run("heap", func(t *testing.T) {
 		e := NewEngine()
 		fn := func() {}
@@ -548,6 +718,40 @@ func TestZeroAllocHotPath(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Schedule/Cancel/Step/Defer steady state allocates %.1f times per run, want 0", allocs)
+		}
+	})
+	// A deep queue: about four times deepQueue pending over a second, so
+	// pushes land in buckets, pops refill the heap from them and cancels
+	// sweep the buckets.
+	t.Run("deep", func(t *testing.T) {
+		e := NewEngine()
+		fn := func() {}
+		var tick Time
+		next := func() Time {
+			tick++
+			return e.Now() + Time(tick*7919%1000)*Millisecond + Time(tick%13)
+		}
+		churn := func() {
+			for i := 0; i < 16; i++ {
+				e.At(next(), fn)
+				e.Cancel(e.At(next(), fn))
+				e.Step()
+			}
+		}
+		for i := 0; i < 4*deepQueue; i++ {
+			e.At(next(), fn)
+		}
+		for i := 0; i < 1000; i++ {
+			churn()
+		}
+		if !e.queue.deep {
+			t.Fatalf("%d queued events left the queue shallow", e.queue.size())
+		}
+		if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
+			t.Fatalf("deep-queue Schedule/Cancel/Step steady state allocates %.1f times per run, want 0", allocs)
+		}
+		if !e.queue.deep {
+			t.Fatal("the measured churn left the deep layout")
 		}
 	})
 }

@@ -5,15 +5,20 @@
 // scheduled (stable FIFO tie-break), which makes every simulation in this
 // repository reproducible bit-for-bit.
 //
-// The queue is an inlined 4-ary min-heap ordered by eventLess. Each slot
-// carries a copy of its event's instant, and a sift picks the smallest of
-// four children with conditional moves instead of branches, consulting
-// the full key only when instants tie (see heap.go). For events
-// scheduled through Schedule/At that order is exactly the historical
-// (at, seq) FIFO rule; AtPinned additionally lets a caller place an event
-// at an explicit position inside an instant, so an analytically computed
-// event can land precisely where an equivalent event-driven chain would
-// have inserted it (see internal/netsim's links).
+// The queue picks its layout from the depth it observes (see heap.go).
+// A shallow queue is an inlined 4-ary min-heap ordered by eventLess: each
+// slot carries a copy of its event's instant, and a sift picks the
+// smallest of four children with conditional moves instead of branches,
+// consulting the full key only when instants tie. Past deepQueue entries
+// the heap keeps only the events at or before an instant base, and every
+// later one waits in a radix bucket on the digits of its instant until
+// the heap drains and the lowest bucket refills it. Both layouts fire the
+// same total order. For events scheduled through Schedule/At that order
+// is exactly the historical (at, seq) FIFO rule; AtPinned additionally
+// lets a caller place an event at an explicit position inside an
+// instant, so an analytically computed event can land precisely where an
+// equivalent event-driven chain would have inserted it (see
+// internal/netsim's links).
 //
 // The hot path is allocation-free in steady state: fired and cancelled
 // events are recycled through a free list, and EventRefs carry a
@@ -143,7 +148,7 @@ const compactMin = 64
 // Engine is the discrete-event scheduler. Create one with NewEngine.
 type Engine struct {
 	now     Time
-	queue   heapQueue
+	queue   eventQueue
 	seq     uint64
 	stopped bool
 	// processed counts events that have fired, for diagnostics.

@@ -78,6 +78,10 @@ type AccessPoint struct {
 
 // NewAccessPoint creates an access point and registers it with the medium.
 func NewAccessPoint(name string, medium *Medium, cfg APConfig) *AccessPoint {
+	if cfg.Signal == nil {
+		// Boxed once here: RSSI runs on every beacon a station hears.
+		cfg.Signal = DefaultSignal()
+	}
 	ap := &AccessPoint{name: name, cfg: cfg, engine: medium.engine, medium: medium}
 	ap.airFn = ap.airArrive
 	medium.addAP(ap)

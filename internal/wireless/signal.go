@@ -56,11 +56,7 @@ func (l LogDistance) SensitivitydBm(radius float64) float64 {
 // RSSI returns the received power a station at pos sees from this access
 // point, under the AP's signal model (DefaultSignal when unset).
 func (ap *AccessPoint) RSSI(pos float64) float64 {
-	model := ap.cfg.Signal
-	if model == nil {
-		model = DefaultSignal()
-	}
-	return model.RSSIdBm(math.Abs(pos - ap.cfg.Pos))
+	return ap.cfg.Signal.RSSIdBm(math.Abs(pos - ap.cfg.Pos))
 }
 
 // RSSI returns the received power the station sees from the given access

@@ -54,6 +54,21 @@ func TestAPAndStationRSSI(t *testing.T) {
 	}
 }
 
+// TestRSSIZeroAlloc pins the default model to the AP: a station hears
+// every beacon through RSSI, so an AP without its own Signal must not box
+// DefaultSignal on each call.
+func TestRSSIZeroAlloc(t *testing.T) {
+	ap := NewAccessPoint("ap", NewMedium(sim.NewEngine()), APConfig{Pos: 100, Radius: 112})
+	var sum float64
+	allocs := testing.AllocsPerRun(100, func() { sum += ap.RSSI(110) })
+	if allocs != 0 {
+		t.Fatalf("RSSI under the default model allocates %.1f times per call, want 0", allocs)
+	}
+	if want := 101 * DefaultSignal().RSSIdBm(10); sum != want {
+		t.Fatalf("RSSI summed to %v over 101 calls, want %v", sum, want)
+	}
+}
+
 func TestCustomSignalModel(t *testing.T) {
 	e := sim.NewEngine()
 	medium := NewMedium(e)
