@@ -154,6 +154,28 @@ func (p *CityParams) applyDefaults() {
 	}
 }
 
+// Validate reports parameters RunCity cannot run: a negative count or
+// time, an unknown scheme, or a pool and α that core.ARConfig rejects once
+// the defaults are applied. Zero still selects the default everywhere.
+func (p CityParams) Validate() error {
+	if p.Domains < 0 || p.HostsPerDomain < 0 || p.MAPs < 0 || p.Shards < 0 || p.Workers < 0 ||
+		p.PoolSize < 0 || p.BufferRequest < 0 {
+		return fmt.Errorf("city: negative count: Domains %d, HostsPerDomain %d, MAPs %d, Shards %d, Workers %d, PoolSize %d, BufferRequest %d",
+			p.Domains, p.HostsPerDomain, p.MAPs, p.Shards, p.Workers, p.PoolSize, p.BufferRequest)
+	}
+	if p.StaggerWindow < 0 {
+		return fmt.Errorf("city: negative StaggerWindow %v", p.StaggerWindow)
+	}
+	if p.Scheme != 0 && !p.Scheme.Valid() {
+		return fmt.Errorf("city: unknown scheme %d", p.Scheme)
+	}
+	p.applyDefaults()
+	if err := (core.ARConfig{PoolSize: p.PoolSize, Alpha: p.Alpha}).Validate(); err != nil {
+		return fmt.Errorf("city: %w", err)
+	}
+	return nil
+}
+
 // cityAssign distributes the region MAPs and the AR domains over shards
 // with a deterministic longest-processing-time greedy: heavier units first,
 // each to the least-loaded shard, ties to the lowest shard index. The
@@ -593,6 +615,9 @@ type CityLinkUse struct {
 
 // RunCity builds and runs the sharded city scenario.
 func RunCity(p CityParams) CityResult {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	p.applyDefaults()
 	c := newCity(p)
 	start := time.Now()

@@ -35,6 +35,9 @@ const (
 	metroMinWindow = 10 * sim.Second
 )
 
+// metroAlpha is every metro cell's best-effort admission threshold.
+const metroAlpha = 2
+
 // metroWindow returns the stagger window for a host count.
 func metroWindow(hosts int) sim.Time {
 	w := sim.Time(hosts) * metroPerHostStagger
@@ -76,6 +79,29 @@ func (p *MetroParams) applyDefaults() {
 	if p.BufferRequest <= 0 {
 		p.BufferRequest = 12
 	}
+}
+
+// Validate reports parameters RunMetro cannot run: a host count that is
+// not positive, a negative count or time, or a pool that core.ARConfig
+// rejects beside the cells' α of metroAlpha once the defaults are applied.
+// Zero still selects the default everywhere.
+func (p MetroParams) Validate() error {
+	for _, hosts := range p.Hosts {
+		if hosts <= 0 {
+			return fmt.Errorf("metro: host count %d in Hosts %v is not positive", hosts, p.Hosts)
+		}
+	}
+	if p.PoolSize < 0 || p.BufferRequest < 0 {
+		return fmt.Errorf("metro: negative count: PoolSize %d, BufferRequest %d", p.PoolSize, p.BufferRequest)
+	}
+	if p.StaggerWindow < 0 {
+		return fmt.Errorf("metro: negative StaggerWindow %v", p.StaggerWindow)
+	}
+	p.applyDefaults()
+	if err := (core.ARConfig{PoolSize: p.PoolSize, Alpha: metroAlpha}).Validate(); err != nil {
+		return fmt.Errorf("metro: %w", err)
+	}
+	return nil
 }
 
 // MetroCell is one (variant, host count) outcome.
@@ -172,6 +198,9 @@ func (r MetroResult) CapacityRatio() float64 {
 // NAR-only and dual buffering variants at equal per-handoff pool demand,
 // plus the SafetyNet bicast variant, which sidesteps the pool entirely.
 func RunMetro(p MetroParams) MetroResult {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	p.applyDefaults()
 	res := MetroResult{Params: p}
 	variants := []MetroVariant{
@@ -205,7 +234,7 @@ func runMetroTestbed(p MetroParams, scheme core.Scheme, request, hosts int) *Tes
 	tb := NewTestbed(Params{
 		Scheme:        scheme,
 		PoolSize:      p.PoolSize,
-		Alpha:         2,
+		Alpha:         metroAlpha,
 		BufferRequest: request,
 		Seed:          p.Seed,
 		Engine:        p.Engine,

@@ -22,10 +22,12 @@ func (a heapEntry) less(b heapEntry) bool {
 
 // deepQueue is the heap depth at which the queue leaves the plain heap
 // for the bucketed layout. A BenchmarkSchedulerDepth sweep of the heap
-// against buckets alone puts the crossover between 512 and 1024 pending
-// events (EXPERIMENTS.md, "Radix event queue"). The queue folds back into
-// the heap once the buckets hold fewer than deepQueue/4 entries, so a
-// queue hovering near the threshold does not switch on every push.
+// against buckets alone put the crossover between 512 and 1024 pending
+// events; with sorted runs it lies between 128 and 512 (EXPERIMENTS.md,
+// "Radix event queue" and "Sorted runs"). No workload sits in between, so
+// the threshold stayed. The queue folds back into the heap once the
+// buckets hold fewer than deepQueue/4 entries, so a queue hovering near
+// the threshold does not switch on every push.
 const deepQueue = 512
 
 // The buckets split a 64-bit instant into radixLevels digits of four
@@ -53,33 +55,36 @@ type bucketBlock struct {
 //
 //   - Shallow (the common case for small topologies): a 4-ary min-heap
 //     of every entry, ordered by eventLess.
-//   - Deep (more than deepQueue entries in the heap): the heap keeps only
-//     the entries at or before the instant base, and every later entry
-//     sits in a radix bucket keyed on the highest digit in which its
-//     instant differs from base. Bucket (l, d) holds the entries whose
-//     instant agrees with base above digit l and has digit d there, so
-//     the buckets are ordered: lower level first, then lower digit. When
-//     the heap drains, the lowest non-empty bucket refills it: its
-//     minimum instant becomes the new base, the entries at that instant
-//     enter the heap, and the rest move to lower levels. Event instants
-//     never fall behind the clock, so an entry only ever moves down, a
-//     few times in its life, where the heap would sift it five levels
-//     per pop.
+//   - Deep (more than deepQueue entries in the heap): the entries at or
+//     before the instant base sit in the heap or in a sorted run, and
+//     every later entry sits in a radix bucket keyed on the highest digit
+//     in which its instant differs from base. Bucket (l, d) holds the
+//     entries whose instant agrees with base above digit l and has digit
+//     d there, so the buckets are ordered: lower level first, then lower
+//     digit. When the heap and the run drain, the lowest non-empty bucket
+//     refills them (see refill). A bucket that fits in one block becomes
+//     the run, sorted, and its last instant the new base; a longer one
+//     gives its minimum instant to the heap and base, and its other
+//     entries move to lower levels. Event instants never fall behind the
+//     clock, so an entry only ever moves down, a few times in its life,
+//     where the heap would sift it five levels per pop.
 //
 // The total key is unique, so both layouts fire the same sequence. The
 // peeks of Run and ShardGroup can advance base past the clock, and the
 // shard exchange then schedules arrivals before base; every push at or
-// before base therefore goes to the heap, never to a bucket.
+// before base therefore goes to the heap, never to a bucket, and a deep
+// pop takes the smaller of the run's head and the heap's top.
 //
 // The queue tolerates lazily-cancelled entries, which the engine skips and
 // recycles on pop, or collects in bulk via sweep.
 type eventQueue struct {
 	heapQueue
 	deep bool
-	// base splits the deep layout: heap entries are at or before it,
-	// bucket entries after it. It only grows while the queue stays deep.
+	// base splits the deep layout: heap and run entries are at or before
+	// it, bucket entries after it. It only grows while the queue stays
+	// deep.
 	base Time
-	// nb counts the bucket entries.
+	// nb counts the bucket entries; the run is counted apart.
 	nb int
 	// The buckets are made when the queue first goes deep, so an engine
 	// that never does (a runner's scratch engine for a small figure)
@@ -99,9 +104,19 @@ type radix struct {
 	buckets [radixLevels][radixDigits]*bucketBlock
 	fill    [radixLevels][radixDigits]uint8
 	free    *bucketBlock
+	// run[rh:rn] is the sorted run: the entries of the last one-block
+	// bucket refill not yet popped, served from rh.
+	run    [blockLen]heapEntry
+	rh, rn int
 }
 
-func (q *eventQueue) size() int { return len(q.es) + q.nb }
+func (q *eventQueue) size() int {
+	n := len(q.es) + q.nb
+	if q.radix != nil {
+		n += q.rn - q.rh
+	}
+	return n
+}
 
 func (q *eventQueue) push(ev *event) {
 	x := heapEntry{at: ev.at, ev: ev}
@@ -116,17 +131,58 @@ func (q *eventQueue) push(ev *event) {
 	}
 }
 
-// peek returns the earliest queued event, refilling a drained heap from
-// the buckets first, or nil when nothing is queued. The heap's pop then
-// removes that event: the engine pops only after a peek found one.
+// peek returns the earliest queued event, or nil when nothing is queued.
+// pop then removes that event: the engine pops only after a peek found
+// one. A shallow queue is its heap, whose top Engine.Step pops directly;
+// a deep one goes through peekDeep and popDeep.
 func (q *eventQueue) peek() *event {
+	if q.deep {
+		return q.peekDeep()
+	}
 	if len(q.es) == 0 {
-		if q.nb == 0 {
-			return nil
-		}
-		q.refill()
+		return nil
 	}
 	return q.es[0].ev
+}
+
+// pop removes the entry the last peek returned.
+func (q *eventQueue) pop() {
+	if q.deep {
+		q.popDeep()
+	} else {
+		q.heapQueue.pop()
+	}
+}
+
+// peekDeep is peek in the deep layout: the smaller of the run's head and
+// the heap's top, refilling both from the buckets first when they are
+// drained.
+func (q *eventQueue) peekDeep() *event {
+	r := q.radix
+	if r.rh == r.rn {
+		if len(q.es) == 0 {
+			if q.nb == 0 {
+				return nil
+			}
+			q.refill()
+			return q.peek()
+		}
+		return q.es[0].ev
+	}
+	if x := &r.run[r.rh]; len(q.es) == 0 || x.less(q.es[0]) {
+		return x.ev
+	}
+	return q.es[0].ev
+}
+
+// popDeep is pop in the deep layout.
+func (q *eventQueue) popDeep() {
+	r := q.radix
+	if r.rh < r.rn && (len(q.es) == 0 || r.run[r.rh].less(q.es[0])) {
+		r.rh++
+		return
+	}
+	q.heapQueue.pop()
 }
 
 // bucketOf returns the bucket of an instant after base: the level is the
@@ -204,17 +260,33 @@ func (q *eventQueue) spill() {
 	q.heapify()
 }
 
-// refill moves the lowest non-empty bucket's earliest instant into the
-// drained heap, which it makes the new base, and redistributes the rest of
-// that bucket below it. It folds the queue back into the heap once the
-// buckets hold fewer than deepQueue/4 entries.
+// refill serves the lowest non-empty bucket once the heap and the run
+// have drained. Every other bucket lies strictly after it, so:
+//
+//   - a bucket in one block becomes the run, sorted, and its last instant
+//     the new base; no entry is filed again;
+//   - a longer bucket's minimum instant becomes the new base, the entries
+//     at that instant enter the heap, and the rest move to lower levels.
+//
+// It folds the queue back into the heap once the buckets hold fewer than
+// deepQueue/4 entries.
 func (q *eventQueue) refill() {
 	l := bits.TrailingZeros16(q.levels)
 	b, n := q.take(l, bits.TrailingZeros16(q.digits[l]))
-	if n == 1 && b.next == nil {
-		q.base = b.es[0].at
-		q.es = append(q.es, b.es[0])
-		q.nb--
+	if b.next == nil {
+		// Insertion sort on the full key: a run averages a few entries.
+		r := q.radix
+		clear(r.run[:r.rn])
+		run := r.run[:n]
+		for i, x := range b.es[:n] {
+			for ; i > 0 && x.less(run[i-1]); i-- {
+				run[i] = run[i-1]
+			}
+			run[i] = x
+		}
+		r.rh, r.rn = 0, n
+		q.base = run[n-1].at
+		q.nb -= n
 	} else {
 		m := b.es[0].at
 		for c, k := b, n; c != nil; c, k = c.next, blockLen {
@@ -242,9 +314,13 @@ func (q *eventQueue) refill() {
 	}
 }
 
-// fold returns to the shallow layout: every bucket entry joins the heap.
-// Buckets hold entries only while the queue is deep.
+// fold returns to the shallow layout: every run and bucket entry joins the
+// heap. The run and the buckets hold entries only while the queue is deep.
 func (q *eventQueue) fold() {
+	r := q.radix
+	q.es = append(q.es, r.run[r.rh:r.rn]...)
+	clear(r.run[:r.rn])
+	r.rh, r.rn = 0, 0
 	for q.levels != 0 {
 		l := bits.TrailingZeros16(q.levels)
 		b, n := q.take(l, bits.TrailingZeros16(q.digits[l]))
@@ -258,8 +334,9 @@ func (q *eventQueue) fold() {
 	q.heapify()
 }
 
-// sweep removes every cancelled event in O(n): compact the heap in place
-// and refile each bucket's live entries, then rebuild the heap bottom-up.
+// sweep removes every cancelled event in O(n): compact the heap and the
+// run in place and refile each bucket's live entries, then rebuild the
+// heap bottom-up.
 func (q *eventQueue) sweep(recycle func(*event)) {
 	live := q.es[:0]
 	for _, x := range q.es {
@@ -276,6 +353,17 @@ func (q *eventQueue) sweep(recycle func(*event)) {
 	if !q.deep {
 		return
 	}
+	r := q.radix
+	run := r.run[:0]
+	for _, x := range r.run[r.rh:r.rn] {
+		if x.ev.cancel {
+			recycle(x.ev)
+		} else {
+			run = append(run, x)
+		}
+	}
+	clear(r.run[len(run):r.rn])
+	r.rh, r.rn = 0, len(run)
 	for lv := q.levels; lv != 0; lv &= lv - 1 {
 		l := bits.TrailingZeros16(lv)
 		for dg := q.digits[l]; dg != 0; dg &= dg - 1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -43,10 +44,11 @@ func newRefCheck(t *testing.T) *refCheck { return &refCheck{t: t, e: NewEngine()
 
 // checkQueue asserts the queue's own invariants: every entry carries its
 // event's instant, and no heap entry sorts before its parent. In the deep
-// layout, heap entries are at or before base; every bucket entry is after
-// base and sits in the bucket bucketOf gives it; every block of a chain
-// but the first is full; and the masks name exactly the non-empty buckets.
-// In either layout, size is the heap plus the buckets.
+// layout, heap and run entries are at or before base, and the run is
+// sorted on the full key; every bucket entry is after base and sits in the
+// bucket bucketOf gives it; every block of a chain but the first is full;
+// and the masks name exactly the non-empty buckets. In either layout, size
+// is the heap plus the run plus the buckets.
 func (c *refCheck) checkQueue() {
 	c.t.Helper()
 	q := &c.e.queue
@@ -66,6 +68,21 @@ func (c *refCheck) checkQueue() {
 			c.t.Fatalf("no buckets, yet deep %v and %d bucket entries", q.deep, q.nb)
 		}
 		return
+	}
+	run := q.run[q.rh:q.rn]
+	if len(run) > 0 && !q.deep {
+		c.t.Fatalf("shallow queue holds a run of %d", len(run))
+	}
+	for i, x := range run {
+		if x.at != x.ev.at {
+			c.t.Fatalf("run entry %d has instant %v, its event %v", i, x.at, x.ev.at)
+		}
+		if x.at > q.base {
+			c.t.Fatalf("run entry %d at %v is after base %v", i, x.at, q.base)
+		}
+		if i > 0 && x.less(run[i-1]) {
+			c.t.Fatalf("run entry %d sorts before entry %d", i, i-1)
+		}
 	}
 	queued := 0
 	for l := range q.buckets {
@@ -96,8 +113,8 @@ func (c *refCheck) checkQueue() {
 			c.t.Fatalf("level %d: level mask %016b disagrees", l, q.levels)
 		}
 	}
-	if queued != q.nb || q.size() != len(q.es)+queued {
-		c.t.Fatalf("size %d, nb %d; the heap holds %d and the buckets %d", q.size(), q.nb, len(q.es), queued)
+	if queued != q.nb || q.size() != len(q.es)+len(run)+queued {
+		c.t.Fatalf("size %d, nb %d; the heap holds %d, the run %d and the buckets %d", q.size(), q.nb, len(q.es), len(run), queued)
 	}
 }
 
@@ -360,11 +377,13 @@ func TestSchedulersAgree(t *testing.T) {
 	})
 
 	t.Run("deep", func(t *testing.T) {
-		// Queues past deepQueue: the switch to buckets, a sweep while
-		// bucketed, handlers that push and cancel while the buckets refill
-		// the heap, a horizon that stops before a peeked event (which
-		// moves base past the clock) followed by pushes before base, and
-		// the drain that folds the queue back into the heap.
+		// Queues past deepQueue: the switch to buckets; a sweep while
+		// bucketed that cancels entries inside a live run; handlers that
+		// push and cancel while the buckets refill the heap and the run; a
+		// horizon that stops before a peeked run entry (which moves base
+		// past the clock) followed by pushes at and before base; then
+		// either the drain, which folds the queue back into the heap, or
+		// a sweep that folds a live run into it.
 		for trial := 0; trial < 6; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial) + 500))
 			c := newRefCheck(t)
@@ -393,15 +412,26 @@ func TestSchedulersAgree(t *testing.T) {
 			if !q.deep {
 				t.Fatalf("trial %d: %d queued events left the queue shallow", trial, q.size())
 			}
-			// Cancel about 60%: the sweep runs once cancelled entries
-			// outnumber the live ones, which leaves the queue deep.
+			// Fire until a run of at least three is live, then cancel its
+			// second entry and about 60% of the rest: the sweep runs once
+			// cancelled entries outnumber the live ones, which leaves the
+			// queue deep and the run live.
+			untilRun(t, c, 3, false)
+			inRun := c.pendingOf(q.run[q.rh+1].ev)
+			c.cancel(inRun)
 			for _, ev := range evs {
-				if rng.Intn(5) < 3 {
+				if ev != inRun && rng.Intn(5) < 3 {
 					c.cancel(ev)
 				}
 			}
-			if q.size() >= len(evs) || !q.deep {
-				t.Fatalf("trial %d: no sweep while bucketed (size %d, deep %v)", trial, q.size(), q.deep)
+			if q.size() >= len(evs) || !q.deep || q.rh != 0 {
+				t.Fatalf("trial %d: no sweep while bucketed (size %d, deep %v, run %d:%d)", trial, q.size(), q.deep, q.rh, q.rn)
+			}
+			// Nothing was scheduled since, so the recycled slot is free.
+			for _, x := range q.run[q.rh:q.rn] {
+				if x.ev == inRun.ref.ev {
+					t.Fatalf("trial %d: the sweep left a cancelled entry in the run", trial)
+				}
 			}
 			var sawDeep, sawFold bool
 			c.onFire = func(*refEvent) {
@@ -417,36 +447,61 @@ func TestSchedulersAgree(t *testing.T) {
 					c.cancel(c.pending[rng.Intn(len(c.pending))])
 				}
 			}
-			// Fire a few hundred events, then stop one nanosecond short of
-			// the next pending event: Run's peek has moved base onto it.
+			// Fire a few hundred events, then until a run is live with a
+			// gap before its head, and stop one nanosecond short of that
+			// head: Run's peek has moved base onto the run.
 			c.run(c.now + Second/2)
-			next := MaxTime
-			for _, ev := range c.pending {
-				next = min(next, ev.at)
-			}
-			if !q.deep || next == MaxTime || next <= c.now+1 {
-				t.Fatalf("trial %d: no gap before the next event at %v (now %v, deep %v)", trial, next, c.now, q.deep)
-			}
+			untilRun(t, c, 2, true)
+			next := q.run[q.rh].at
 			c.run(next - 1)
-			if q.base < next {
-				t.Fatalf("trial %d: base %v behind the peeked event at %v", trial, q.base, next)
+			if q.rn-q.rh < 2 || q.run[q.rh].at != next || q.base < next {
+				t.Fatalf("trial %d: the horizon left run %d:%d, base %v, peeked %v", trial, q.rh, q.rn, q.base, next)
 			}
 			// Pushes at and before base, from outside any handler, as the
-			// shard exchange schedules arrivals.
+			// shard exchange schedules arrivals: before the run, among its
+			// entries and tied with them.
+			for _, x := range q.run[q.rh:q.rn] {
+				c.at(x.at)
+			}
 			for k := 0; k < 8; k++ {
 				c.at(c.now + Time(rng.Int63n(int64(q.base-c.now)+1)))
 			}
-			c.run(MaxTime)
-			if !sawDeep || !sawFold || q.deep {
-				t.Fatalf("trial %d: deep %v, then folded %v; deep at the end %v", trial, sawDeep, sawFold, q.deep)
+			if trial%2 == 0 {
+				// The drain folds the queue back into the heap from a
+				// refill.
+				c.run(MaxTime)
+				if !sawDeep || !sawFold || q.deep {
+					t.Fatalf("trial %d: deep %v, then folded %v; deep at the end %v", trial, sawDeep, sawFold, q.deep)
+				}
+				continue
 			}
+			// Fold a live run: cancel everything but the run and a few
+			// others, so the sweep leaves the buckets nearly empty.
+			c.onFire = nil
+			untilRun(t, c, 2, false)
+			var keep []*refEvent
+			for _, x := range q.run[q.rh:q.rn] {
+				if !x.ev.cancel {
+					keep = append(keep, c.pendingOf(x.ev))
+				}
+			}
+			for _, ev := range append([]*refEvent(nil), c.pending...) {
+				if rng.Intn(16) > 0 && !slices.Contains(keep, ev) {
+					c.cancel(ev)
+				}
+			}
+			if q.deep {
+				t.Fatalf("trial %d: a sweep down to %d entries left the queue deep", trial, q.size())
+			}
+			c.run(MaxTime)
 		}
 	})
 
 	t.Run("reset-deep", func(t *testing.T) {
-		// Reset a bucketed engine, then replay a deep workload on it
-		// against the reference.
-		e := NewEngine()
+		// Reset a bucketed engine with a live run, then replay a deep
+		// workload on it against the reference.
+		c := newRefCheck(t)
+		e := c.e
 		fn := func() {}
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 2*deepQueue; i++ {
@@ -455,14 +510,11 @@ func TestSchedulersAgree(t *testing.T) {
 		if err := e.Run(Second / 4); err != nil {
 			t.Fatal(err)
 		}
-		if !e.queue.deep {
-			t.Fatalf("%d queued events left the queue shallow", e.queue.size())
-		}
+		untilRun(t, c, 2, false)
 		e.Reset()
-		c := &refCheck{t: t, e: e}
 		c.checkQueue()
-		if e.queue.deep || e.queue.size() != 0 {
-			t.Fatalf("after Reset: deep %v, size %d", e.queue.deep, e.queue.size())
+		if e.queue.deep || e.queue.size() != 0 || e.queue.rn != 0 {
+			t.Fatalf("after Reset: deep %v, size %d, run %d:%d", e.queue.deep, e.queue.size(), e.queue.rh, e.queue.rn)
 		}
 		for i := 0; i < 2*deepQueue; i++ {
 			c.at(Time(rng.Int63n(int64(Second))))
@@ -472,6 +524,34 @@ func TestSchedulersAgree(t *testing.T) {
 			t.Fatalf("fired %d of %d events", c.fired, 2*deepQueue)
 		}
 	})
+}
+
+// untilRun steps c's engine until its deep queue serves a run of at least
+// n entries, and with gap, one whose head is the live next event and lies
+// more than a nanosecond after the clock.
+func untilRun(t *testing.T, c *refCheck, n int, gap bool) {
+	t.Helper()
+	q := &c.e.queue
+	for {
+		if q.deep && q.rn-q.rh >= n && (!gap || q.peek() == q.run[q.rh].ev && !q.run[q.rh].ev.cancel && q.run[q.rh].at > c.e.Now()+1) {
+			c.checkQueue()
+			return
+		}
+		if !c.e.Step() {
+			t.Fatalf("the queue drained before it served a run of %d", n)
+		}
+	}
+}
+
+// pendingOf returns the pending reference event scheduled as ev.
+func (c *refCheck) pendingOf(ev *event) *refEvent {
+	for _, p := range c.pending {
+		if p.ref.ev == ev && p.ref.gen == ev.gen {
+			return p
+		}
+	}
+	c.t.Fatalf("no pending event for the queued one at %v", ev.at)
+	return nil
 }
 
 // TestSchedulersAgreeOnline checks the heap against the reference when
@@ -524,7 +604,9 @@ func TestSchedulersAgreeOnline(t *testing.T) {
 //   - Run to a horizon from the set;
 //   - At for deepQueue+1 events, at most twice per input, which takes the
 //     queue past its depth threshold: instants from the set, each plus an
-//     offset up to about a microsecond, so bucketed entries tie too.
+//     offset up to about a microsecond, so bucketed entries tie too, and
+//     the buckets of a few entries drain as sorted runs (the fourth seed
+//     serves over a hundred).
 //
 // The input ends with a drain.
 func FuzzSchedulerOrder(f *testing.F) {
@@ -721,8 +803,8 @@ func TestZeroAllocHotPath(t *testing.T) {
 		}
 	})
 	// A deep queue: about four times deepQueue pending over a second, so
-	// pushes land in buckets, pops refill the heap from them and cancels
-	// sweep the buckets.
+	// pushes land in buckets, pops refill the heap and the run from them
+	// and cancels sweep the buckets.
 	t.Run("deep", func(t *testing.T) {
 		e := NewEngine()
 		fn := func() {}
@@ -731,11 +813,16 @@ func TestZeroAllocHotPath(t *testing.T) {
 			tick++
 			return e.Now() + Time(tick*7919%1000)*Millisecond + Time(tick%13)
 		}
+		// served counts the pops that left a live run behind.
+		served := 0
 		churn := func() {
 			for i := 0; i < 16; i++ {
 				e.At(next(), fn)
 				e.Cancel(e.At(next(), fn))
 				e.Step()
+				if q := &e.queue; q.deep && q.rh < q.rn {
+					served++
+				}
 			}
 		}
 		for i := 0; i < 4*deepQueue; i++ {
@@ -747,11 +834,12 @@ func TestZeroAllocHotPath(t *testing.T) {
 		if !e.queue.deep {
 			t.Fatalf("%d queued events left the queue shallow", e.queue.size())
 		}
+		served = 0
 		if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
 			t.Fatalf("deep-queue Schedule/Cancel/Step steady state allocates %.1f times per run, want 0", allocs)
 		}
-		if !e.queue.deep {
-			t.Fatal("the measured churn left the deep layout")
+		if !e.queue.deep || served == 0 {
+			t.Fatalf("the measured churn left the deep layout (%v) or served no run (%d pops)", !e.queue.deep, served)
 		}
 	})
 }

@@ -12,8 +12,10 @@
 // consulting the full key only when instants tie. Past deepQueue entries
 // the heap keeps only the events at or before an instant base, and every
 // later one waits in a radix bucket on the digits of its instant until
-// the heap drains and the lowest bucket refills it. Both layouts fire the
-// same total order. For events scheduled through Schedule/At that order
+// the heap drains and the lowest bucket refills it: a bucket of one block
+// as a sorted run served in order, a longer one by moving its earliest
+// instant into the heap and the rest to finer buckets. Both layouts fire
+// the same total order. For events scheduled through Schedule/At that order
 // is exactly the historical (at, seq) FIFO rule; AtPinned additionally
 // lets a caller place an event at an explicit position inside an
 // instant, so an analytically computed event can land precisely where an
@@ -331,7 +333,13 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.queue.pop()
+	// eventQueue.pop, spelled out: the call it adds costs a shallow queue
+	// more than the branch.
+	if e.queue.deep {
+		e.queue.popDeep()
+	} else {
+		e.queue.heapQueue.pop()
+	}
 	e.now = ev.at
 	e.processed++
 	e.live--
