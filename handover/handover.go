@@ -183,27 +183,38 @@ type Simulation struct {
 
 // Validate reports the first setting New cannot build: a negative buffer
 // pool or α, an α that would refuse every best-effort packet, a loss rate
-// outside [0,1], a negative delay or beacon period, or a row that is not
-// 2 to 48 routers long.
+// outside [0,1], a negative delay or beacon period, an unknown scheme, or
+// a row that is not 2 to 48 routers long.
 func (c Config) Validate() error {
-	if c.Scheme != 0 && !c.Scheme.Valid() {
-		return fmt.Errorf("handover: unknown scheme %d", c.Scheme)
-	}
-	if err := (core.ARConfig{PoolSize: c.RouterBufferPackets, Alpha: c.Alpha}).Validate(); err != nil {
-		return err
-	}
-	if c.ControlLossRate < 0 || c.ControlLossRate > 1 {
-		return fmt.Errorf("handover: control loss rate %g outside [0,1]", c.ControlLossRate)
-	}
-	if c.ARLinkDelay < 0 || c.L2HandoffDelay < 0 || c.RAInterval < 0 || c.HomeAgentDelay < 0 {
-		return fmt.Errorf("handover: negative time: ARLinkDelay %v, L2HandoffDelay %v, RAInterval %v, HomeAgentDelay %v",
-			c.ARLinkDelay, c.L2HandoffDelay, c.RAInterval, c.HomeAgentDelay)
-	}
-	// Router i owns net NetPAR+i, so a longer row would claim the MAP's.
-	if most := int(scenario.NetMAP - scenario.NetPAR); c.Routers < 0 || c.Routers == 1 || c.Routers > most {
-		return fmt.Errorf("handover: %d routers; the row takes 2 to %d (0 selects 2)", c.Routers, most)
+	if err := c.params().Validate(); err != nil {
+		return fmt.Errorf("handover: %w", err)
 	}
 	return nil
+}
+
+// params maps the config onto the testbed New builds.
+func (c Config) params() scenario.Params {
+	mobility := core.MobilityFastHandover
+	if c.PlainMobileIP {
+		mobility = core.MobilityPlainMIP
+	}
+	return scenario.Params{
+		Routers:         c.Routers,
+		Scheme:          c.Scheme,
+		PoolSize:        c.RouterBufferPackets,
+		Alpha:           c.Alpha,
+		BufferRequest:   c.BufferRequestPackets,
+		ARLinkDelay:     sim.Duration(c.ARLinkDelay),
+		L2HandoffDelay:  sim.Duration(c.L2HandoffDelay),
+		RAInterval:      sim.Duration(c.RAInterval),
+		PartialGrants:   c.PartialGrants,
+		AuthKey:         c.AuthKey,
+		Mobility:        mobility,
+		HomeAgentDelay:  sim.Duration(c.HomeAgentDelay),
+		HysteresisDB:    c.HysteresisDB,
+		ControlLossRate: c.ControlLossRate,
+		Seed:            c.Seed,
+	}
 }
 
 // New assembles the reference network. It panics with Validate's error on
@@ -212,27 +223,7 @@ func New(cfg Config) *Simulation {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	mobility := core.MobilityFastHandover
-	if cfg.PlainMobileIP {
-		mobility = core.MobilityPlainMIP
-	}
-	return &Simulation{tb: scenario.NewTestbed(scenario.Params{
-		Routers:         cfg.Routers,
-		Scheme:          cfg.Scheme,
-		PoolSize:        cfg.RouterBufferPackets,
-		Alpha:           cfg.Alpha,
-		BufferRequest:   cfg.BufferRequestPackets,
-		ARLinkDelay:     sim.Duration(cfg.ARLinkDelay),
-		L2HandoffDelay:  sim.Duration(cfg.L2HandoffDelay),
-		RAInterval:      sim.Duration(cfg.RAInterval),
-		PartialGrants:   cfg.PartialGrants,
-		AuthKey:         cfg.AuthKey,
-		Mobility:        mobility,
-		HomeAgentDelay:  sim.Duration(cfg.HomeAgentDelay),
-		HysteresisDB:    cfg.HysteresisDB,
-		ControlLossRate: cfg.ControlLossRate,
-		Seed:            cfg.Seed,
-	})}
+	return &Simulation{tb: scenario.NewTestbed(cfg.params())}
 }
 
 // Host is one mobile host with its flows.

@@ -14,14 +14,13 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/traffic"
-	"repro/internal/wireless"
 )
 
 // The city scenario scales the metro cell out to a whole metropolitan
-// deployment: tens of AR domains — each a PAR/NAR pair with its own access
-// points, air medium, and resident hosts — anchored at a small set of
-// region MAPs. The topology is partitioned into shards (one sim.Engine
+// deployment: tens of AR domains anchored at a small set of region MAPs.
+// Each domain is a testbed row (Testbed.buildRow, the builder NewTestbed
+// uses) carrying the metro cell's host wave, and its outcome is the metro
+// cell's tally. The topology is partitioned into shards (one sim.Engine
 // each) run in parallel under a conservative epoch-barrier protocol whose
 // lookahead is the minimum inter-domain wired delay; all MAP-facing links
 // cross shard boundaries through netsim.ShardExchange mailboxes.
@@ -90,10 +89,6 @@ type CityParams struct {
 	// GOMAXPROCS (2 for CitySpec). Any worker count produces
 	// byte-identical results.
 	Workers int
-	// FixedEpochs reverts the shard group to fixed-width epochs (the
-	// pre-adaptive protocol). Zero value — adaptive — is what everything
-	// but differential tests and barrier measurements wants.
-	FixedEpochs bool
 	// Scheme selects the buffering behaviour on the access routers.
 	Scheme core.Scheme
 	// PoolSize is each access router's buffer pool in packets.
@@ -236,42 +231,20 @@ type cityMAP struct {
 	net      inet.NetID
 }
 
-// cityDomain is one AR domain: everything between a correspondent node and
-// the air interface, owned by a single shard.
+// cityDomain is one AR domain: a testbed row on its shard's engine and
+// packet pool, anchored at a region MAP (tb.MAP) across the shard boundary.
 type cityDomain struct {
-	shard    int
-	engine   *sim.Engine
-	topo     *netsim.Topology
-	medium   *wireless.Medium
-	recorder *stats.Recorder
-	sink     *sink
-	anchor   *cityMAP
-
-	cn       *netsim.Host
-	par, nar *core.AccessRouter
-	apPAR    *wireless.AccessPoint
-	apNAR    *wireless.AccessPoint
-	parAPL   *netsim.Link
+	shard int
+	tb    *Testbed
 	// wired holds every wired link of the domain, indexed by cityLinkRoles,
 	// for the utilization rollup.
 	wired [len(cityLinkRoles)]*netsim.Link
-
-	parNet, narNet, cnNet inet.NetID
-
-	hosts []*cityHost
 }
 
 // cityLinkRoles names the wired link roles of one AR domain, in render
 // order: the three MAP-facing (usually cross-shard) links, the direct
 // PAR–NAR link, and the two router–AP links.
 var cityLinkRoles = [...]string{"cn-map", "par-map", "nar-map", "par-nar", "par-ap", "nar-ap"}
-
-// cityHost is one mobile host and its audio flow.
-type cityHost struct {
-	mh   *core.MobileHost
-	src  *traffic.CBR
-	flow inet.FlowID
-}
 
 // city is the assembled partitioned topology.
 type city struct {
@@ -284,9 +257,9 @@ type city struct {
 }
 
 // newCity builds the partitioned topology. Construction is single-threaded
-// and ordered (MAPs, then domains, then hosts), so every engine's event
-// sequence numbers — and hence the whole run — are a pure function of the
-// parameters.
+// and ordered (MAPs, then per domain its beacons and its hosts), so every
+// engine's event sequence numbers — and hence the whole run — are a pure
+// function of the parameters.
 func newCity(p CityParams) *city {
 	mapShard, domShard := cityAssign(p.MAPs, p.Domains, p.Shards)
 
@@ -318,14 +291,11 @@ func newCity(p CityParams) *city {
 		})
 	}
 
-	nextRCoA := inet.HostID(0)
 	for d := 0; d < p.Domains; d++ {
-		dom := c.buildDomain(d, domShard[d], c.maps[d*p.MAPs/p.Domains])
+		// RCoAs are city-unique: 1001, 1002, … across all domains.
+		dom := c.newDomain(d, domShard[d], c.maps[d*p.MAPs/p.Domains], inet.HostID(1001+d*p.HostsPerDomain))
+		addHostWave(dom.tb, p.HostsPerDomain, p.StaggerWindow)
 		c.domains = append(c.domains, dom)
-		for i := 0; i < p.HostsPerDomain; i++ {
-			nextRCoA++
-			c.addHost(dom, i, nextRCoA)
-		}
 	}
 
 	lookahead := c.exchange.Lookahead()
@@ -334,155 +304,63 @@ func newCity(p CityParams) *city {
 	}
 	c.group = sim.NewShardGroup(engines, lookahead, p.Workers)
 	c.group.SetExchange(c.exchange)
-	if p.FixedEpochs {
-		c.group.SetAdaptive(false)
-	}
 	return c
 }
 
-// buildDomain assembles AR domain d on its shard and wires it to its
-// region MAP across the shard boundary.
-func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
+// newDomain builds AR domain d on its shard: a testbed row whose
+// correspondent node and access routers face the region MAP over links
+// that cross the shard boundary (plain links when the assignment
+// co-located them — ShardExchange.Connect decides). Its hosts' RCoAs start
+// at firstRCoA.
+func (c *city) newDomain(d, shard int, anchor *cityMAP, firstRCoA inet.HostID) *cityDomain {
 	p := c.params
 	engine := c.engines[shard]
-	topo := netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine))
-	medium := wireless.NewMedium(engine)
-	recorder := stats.NewRecorder()
-	rng := sim.NewRNG(p.Seed + int64(d)*1_000_003)
-
-	parNet := cityDomainNetBase + inet.NetID(2*d)
-	narNet := cityDomainNetBase + inet.NetID(2*d+1)
 	cnNet := cityCNNetBase + inet.NetID(d)
+	tb := &Testbed{
+		Params: Params{Scheme: p.Scheme, PoolSize: p.PoolSize, Alpha: p.Alpha, BufferRequest: p.BufferRequest},
+		Engine: engine,
+		Topo:   netsim.NewTopologyWithPool(engine, c.exchange.Pool(engine)),
+		RNG:    sim.NewRNG(p.Seed + int64(d)*1_000_003),
+		CN:     netsim.NewHost(fmt.Sprintf("cn%d", d), inet.Addr{Net: cnNet, Host: 1}),
+		MAP:    anchor.agent,
 
-	cn := netsim.NewHost(fmt.Sprintf("cn%d", d), inet.Addr{Net: cnNet, Host: 1})
-	parRouter := netsim.NewRouter(fmt.Sprintf("par%d", d), inet.Addr{Net: parNet, Host: 1})
-	narRouter := netsim.NewRouter(fmt.Sprintf("nar%d", d), inet.Addr{Net: narNet, Host: 1})
-	arLink := topo.Connect(parRouter, narRouter, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
-	apPAR := wireless.NewAccessPoint(fmt.Sprintf("ap%d-par", d), medium, wireless.APConfig{
-		Pos: 0, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
-		ReturnUndeliverable: true,
-	})
-	apNAR := wireless.NewAccessPoint(fmt.Sprintf("ap%d-nar", d), medium, wireless.APConfig{
-		Pos: APDistance, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
-		ReturnUndeliverable: true,
-	})
-	parAPLink := topo.Connect(parRouter, apPAR, netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
-	narAPLink := topo.Connect(narRouter, apNAR, netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
-
-	topo.ClaimNet(parNet, parRouter)
-	topo.ClaimNet(narNet, narRouter)
-	if err := topo.ComputeRoutes(); err != nil {
-		panic(fmt.Sprintf("city: domain %d routes: %v", d, err))
+		firstRCoA: firstRCoA,
+		mhPrefix:  fmt.Sprintf("mh%d-", d),
 	}
-	// Handover signalling and redirected packets take the direct PAR–NAR
-	// link, exactly as in the reference testbed.
-	parRouter.AddPrefixRoute(narNet, arLink.A())
-	narRouter.AddPrefixRoute(parNet, arLink.B())
-
-	// Inter-domain wiring: the correspondent node and both access routers
-	// face the region MAP over cross-shard mailbox links (plain links when
-	// the assignment co-located them — ShardExchange.Connect decides).
-	cnMAP := c.exchange.Connect(engine, anchor.engine, cn, anchor.router,
-		netsim.LinkConfig{BandwidthBPS: coreBandwidth, Delay: cityCrossDelay})
-	parMAP := c.exchange.Connect(engine, anchor.engine, parRouter, anchor.router,
-		netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: cityCrossDelay})
-	narMAP := c.exchange.Connect(engine, anchor.engine, narRouter, anchor.router,
-		netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: cityCrossDelay})
-	// Domain side: everything non-local goes up to the MAP.
-	parRouter.AddPrefixRoute(anchor.net, parMAP.A())
-	parRouter.AddPrefixRoute(cnNet, parMAP.A())
-	narRouter.AddPrefixRoute(anchor.net, narMAP.A())
-	narRouter.AddPrefixRoute(cnNet, narMAP.A())
-	// MAP side: per-domain downlink routes.
-	anchor.router.AddPrefixRoute(parNet, parMAP.B())
-	anchor.router.AddPrefixRoute(narNet, narMAP.B())
-	anchor.router.AddPrefixRoute(cnNet, cnMAP.B())
-
-	dir := core.NewDirectory()
-	arCfg := core.ARConfig{
-		Scheme:   p.Scheme,
-		PoolSize: p.PoolSize,
-		Alpha:    p.Alpha,
-		Alloc:    topo.AllocPacket,
-		Release:  topo.ReleasePacket,
+	tb.Params.applyDefaults()
+	dom := &cityDomain{shard: shard, tb: tb}
+	up := func(n netsim.Node, bandwidth int64) *netsim.Link {
+		return c.exchange.Connect(engine, anchor.engine, n, anchor.router,
+			netsim.LinkConfig{BandwidthBPS: bandwidth, Delay: cityCrossDelay})
 	}
-	par := core.NewAccessRouter(engine, parRouter, parNet, dir, arCfg)
-	nar := core.NewAccessRouter(engine, narRouter, narNet, dir, arCfg)
-	par.AddAP(apPAR.Name(), parAPLink.A())
-	nar.AddAP(apNAR.Name(), narAPLink.A())
+	// The CN's link comes first: the exchange flushes its ports in
+	// creation order.
+	dom.wired[0] = up(tb.CN, coreBandwidth)
+	anchor.router.AddPrefixRoute(cnNet, dom.wired[0].B())
+	neighbours := tb.buildRow(cityDomainNetBase+inet.NetID(2*d), func(i int) (string, string) {
+		role := [...]string{"par", "nar"}[i]
+		return fmt.Sprintf("%s%d", role, d), fmt.Sprintf("ap%d-%s", d, role)
+	}, func(i int, r *netsim.Router) {
+		// Domain side: everything non-local goes up to the MAP; MAP side:
+		// a downlink route per domain net.
+		l := up(r, arBandwidth)
+		r.AddPrefixRoute(anchor.net, l.A())
+		r.AddPrefixRoute(cnNet, l.A())
+		anchor.router.AddPrefixRoute(r.Addr().Net, l.B())
+		dom.wired[1+i] = l
+	})
+	dom.wired[3], dom.wired[4], dom.wired[5] = neighbours[0], tb.apLinks[0], tb.apLinks[1]
 
-	s := &sink{topo: topo, rec: recorder}
-	s.wireAccess([]*netsim.Router{parRouter, narRouter}, []*core.AccessRouter{par, nar},
-		[]*wireless.AccessPoint{apPAR, apNAR})
 	// Tail drops on the domain side of the cross links are charged to the
 	// domain's recorder (the sending event runs on this shard); the MAP
 	// side's belong to the MAP's recorder.
-	domainDrop := s.at(stats.SiteLinkQueue)
+	domainDrop := tb.sink.at(stats.SiteLinkQueue)
 	mapDrop := (&sink{topo: anchor.topo, rec: anchor.recorder}).at(stats.SiteLinkQueue)
-	for _, l := range []*netsim.Link{cnMAP, parMAP, narMAP} {
+	for _, l := range dom.wired[:3] {
 		l.A().DropHook = domainDrop
 		l.B().DropHook = mapDrop
 	}
-
-	raInterval := 500 * sim.Millisecond
-	apPAR.StartAdvertising(wireless.Advertisement{Router: parRouter.Addr(), Net: parNet},
-		raInterval, rng.Uniform(0, raInterval))
-	apNAR.StartAdvertising(wireless.Advertisement{Router: narRouter.Addr(), Net: narNet},
-		raInterval, rng.Uniform(0, raInterval))
-
-	return &cityDomain{
-		shard: shard, engine: engine, topo: topo, medium: medium,
-		recorder: recorder, sink: s, anchor: anchor,
-		cn: cn, par: par, nar: nar, apPAR: apPAR, apNAR: apNAR,
-		parAPL: parAPLink,
-		wired:  [...]*netsim.Link{cnMAP, parMAP, narMAP, arLink, parAPLink, narAPLink},
-		parNet: parNet, narNet: narNet, cnNet: cnNet,
-	}
-}
-
-// addHost creates mobile host i of a domain: attached at the PAR, anchored
-// at the region MAP under a city-unique RCoA, with one staggered audio
-// flow and a Linear walk into the NAR's cell.
-func (c *city) addHost(dom *cityDomain, i int, rcoaHost inet.HostID) {
-	p := c.params
-	window := p.StaggerWindow
-	from := window * sim.Time(i) / sim.Time(p.HostsPerDomain)
-	rcoa := inet.Addr{Net: dom.anchor.net, Host: 1000 + rcoaHost}
-
-	station := wireless.NewStation(fmt.Sprintf("mh%d-%d", dom.cnNet-cityCNNetBase, i), dom.medium,
-		wireless.Linear{Start: 50, Speed: MHSpeed, From: from},
-		wireless.StationConfig{
-			BandwidthBPS:   airBandwidth,
-			AirDelay:       sim.Millisecond,
-			L2HandoffDelay: 200 * sim.Millisecond,
-		})
-	mh := core.NewMobileHost(dom.engine, station, rcoa, dom.anchor.router.Addr(), core.MHConfig{
-		HostID:        inet.HostID(10 + i),
-		Scheme:        p.Scheme,
-		BufferRequest: p.BufferRequest,
-	})
-	mh.Attach(dom.apPAR, dom.par.Addr(), dom.parNet)
-	dom.par.AttachResident(mh.LCoA(), dom.parAPL.A())
-	dom.anchor.agent.Register(rcoa, mh.LCoA(), 3600*sim.Second)
-	mh.StartRegistration()
-
-	topo, recorder := dom.topo, dom.recorder
-	dom.sink.wireHost(station, mh, traffic.Sink(dom.engine, recorder))
-
-	flowID := topo.NewFlowID()
-	src := traffic.NewCBR(dom.engine, traffic.CBRConfig{
-		Flow:     flowID,
-		Class:    inet.Classes[i%3],
-		Src:      dom.cn.Addr(),
-		Dst:      rcoa,
-		Size:     160,
-		Interval: 20 * sim.Millisecond,
-		Alloc:    topo.AllocPacket,
-	}, dom.cn.Send, topo.NewPacketID, recorder)
-	src.Start(from + metroTrafficLead)
-	dom.engine.Schedule(from+metroTrafficStop, src.Stop)
-
-	dom.hosts = append(dom.hosts, &cityHost{mh: mh, src: src, flow: flowID})
+	return dom
 }
 
 // run advances the whole city through the handoff window and the
@@ -512,9 +390,7 @@ func (c *city) run() error {
 // every shard parked at the barrier.
 func (c *city) stopTraffic() {
 	for _, dom := range c.domains {
-		for _, h := range dom.hosts {
-			h.src.Stop()
-		}
+		dom.tb.StopTraffic()
 	}
 }
 
@@ -625,13 +501,20 @@ func RunCity(p CityParams) CityResult {
 		panic(fmt.Sprintf("city: %v", err))
 	}
 	wall := time.Since(start)
+	res := c.result()
+	res.Wall = wall
+	return res
+}
 
+// result reads the finished run: the engines' and the exchange's counters,
+// the wired and air rollups, and one tally row per domain.
+func (c *city) result() CityResult {
+	p := c.params
 	res := CityResult{
 		Params:     p,
 		Shards:     p.Shards,
 		Workers:    p.Workers,
 		CrossPorts: c.exchange.Ports(),
-		Wall:       wall,
 	}
 	for _, e := range c.engines {
 		res.Events += e.Processed()
@@ -657,42 +540,30 @@ func RunCity(p CityParams) CityResult {
 	var meanSum float64
 	var meanN int
 	for d, dom := range c.domains {
+		cell, delaySum, delayed := dom.tb.tally()
 		row := CityDomainRow{
 			Domain:       d,
 			Shard:        dom.shard,
-			Grants:       dom.par.PoolGrants() + dom.nar.PoolGrants(),
-			Refusals:     dom.par.PoolRefusals() + dom.nar.PoolRefusals(),
-			PeakNAR:      dom.nar.PeakGrantedSessions(),
-			PeakPAR:      dom.par.PeakGrantedSessions(),
-			SessionsLeft: dom.par.Sessions() + dom.nar.Sessions(),
+			Handoffs:     cell.Handoffs,
+			Grants:       cell.Grants,
+			Refusals:     cell.Refusals,
+			PeakNAR:      cell.PeakNAR,
+			PeakPAR:      cell.PeakPAR,
+			Lost:         cell.Lost,
+			MaxDelayMs:   cell.MaxDelayMs,
+			MeanDelayMs:  cell.MeanDelayMs,
+			SessionsLeft: cell.SessionsLeft,
 		}
-		res.AirDownSent += dom.apPAR.Sent() + dom.apNAR.Sent()
-		res.AirDownDrops += dom.apPAR.AirDrops() + dom.apNAR.AirDrops()
-		var rowMeanSum float64
-		var rowMeanN int
-		for _, h := range dom.hosts {
-			st := h.mh.Station()
-			res.AirUpSent += st.Sent()
-			res.AirUpDrops += st.TxDrops()
-			row.Handoffs += len(h.mh.Handoffs())
-			f := dom.recorder.Flow(h.flow)
-			if f == nil {
-				continue
-			}
-			row.Lost[classIndex(f.Class)] += f.Lost()
-			if ms := f.MaxDelay().Milliseconds(); ms > row.MaxDelayMs {
-				row.MaxDelayMs = ms
-			}
-			if f.DelayCount() > 0 {
-				rowMeanSum += f.MeanDelay().Milliseconds()
-				rowMeanN++
-			}
+		meanSum += delaySum
+		meanN += delayed
+		for _, ap := range dom.tb.APs {
+			res.AirDownSent += ap.Sent()
+			res.AirDownDrops += ap.AirDrops()
 		}
-		if rowMeanN > 0 {
-			row.MeanDelayMs = rowMeanSum / float64(rowMeanN)
+		for _, unit := range dom.tb.MHs {
+			res.AirUpSent += unit.Station.Sent()
+			res.AirUpDrops += unit.Station.TxDrops()
 		}
-		meanSum += rowMeanSum
-		meanN += rowMeanN
 
 		res.Rows = append(res.Rows, row)
 		res.Handoffs += row.Handoffs
@@ -705,9 +576,9 @@ func RunCity(p CityParams) CityResult {
 			res.MaxDelayMs = row.MaxDelayMs
 		}
 		res.SessionsLeft += row.SessionsLeft
-		res.DedupMH += dom.recorder.DedupDiscardsMH()
-		res.DedupNAR += dom.recorder.DedupDiscardsNAR()
-		res.TotalSent += dom.recorder.TotalSent()
+		res.DedupMH += cell.DedupMH
+		res.DedupNAR += cell.DedupNAR
+		res.TotalSent += cell.TotalSent
 	}
 	if meanN > 0 {
 		res.MeanDelayMs = meanSum / float64(meanN)

@@ -214,6 +214,19 @@ func stripBarrierLine(s string) string {
 	return b.String()
 }
 
+// runCityFixedEpochs runs p like RunCity, but through the fixed-width
+// epoch protocol, the reference the adaptive one must match.
+func runCityFixedEpochs(t *testing.T, p CityParams) CityResult {
+	t.Helper()
+	p.applyDefaults()
+	c := newCity(p)
+	c.group.SetAdaptive(false)
+	if err := c.run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.result()
+}
+
 // citySparseParams is the sparse-handoff regime the adaptive barrier
 // targets: one staggered handoff per domain spread over ten minutes, so
 // beacons and rare cross-shard bursts dominate and fixed-width epochs
@@ -244,9 +257,7 @@ func TestCityAdaptiveMatchesFixedEpochs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			adaptive := RunCity(tc.p)
-			f := tc.p
-			f.FixedEpochs = true
-			fixed := RunCity(f)
+			fixed := runCityFixedEpochs(t, tc.p)
 			got, want := cityBytes(t, adaptive), cityBytes(t, fixed)
 			if stripBarrierLine(got) != stripBarrierLine(want) {
 				t.Fatalf("adaptive epochs diverged from fixed epochs:\n--- adaptive ---\n%s\n--- fixed ---\n%s", got, want)
@@ -341,9 +352,7 @@ func TestCityAdaptiveReducesBarrierRounds(t *testing.T) {
 	// ratio is stable (measured ~10× on this config).
 	p := citySparseParams()
 	adaptive := RunCity(p)
-	f := p
-	f.FixedEpochs = true
-	fixed := RunCity(f)
+	fixed := runCityFixedEpochs(t, p)
 	if fixed.Barrier.BarrierRounds < 5*adaptive.Barrier.BarrierRounds {
 		t.Fatalf("synchronized rounds reduced only %d→%d, want ≥5×",
 			fixed.Barrier.BarrierRounds, adaptive.Barrier.BarrierRounds)
@@ -363,16 +372,12 @@ func TestSpecsIdenticalAcrossEpochModes(t *testing.T) {
 	// Runner metrics from the city spec must not depend on the epoch
 	// mode: the fixed protocol is the reference for the adaptive one.
 	cityP := CityParams{Domains: 4, HostsPerDomain: 25, MAPs: 2, Shards: 4, StaggerWindow: 5 * sim.Second}
-	cityF := cityP
-	cityF.FixedEpochs = true
 	a, err := CitySpec(cityP).Run(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CitySpec(cityF).Run(9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cityP.Seed = 9
+	b := runCityFixedEpochs(t, cityP).Metrics()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("city spec metrics diverged across epoch modes:\n%v\nvs\n%v", a, b)
 	}
@@ -446,5 +451,42 @@ func TestCityShardPoolsStayBalanced(t *testing.T) {
 	}
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("packets never reclaimed after the drain: %d at 1 worker, %d at 2, want 0", out[0], out[1])
+	}
+}
+
+// rowNames lists a testbed row's node names and its hosts' stations and
+// RCoAs, in build order.
+func rowNames(tb *Testbed) string {
+	names := []string{tb.CN.Name()}
+	for i, ar := range tb.ARs {
+		names = append(names, ar.Router().Name(), tb.APs[i].Name())
+	}
+	for _, u := range tb.MHs {
+		names = append(names, u.Station.Name()+"@"+u.RCoA.String())
+	}
+	return strings.Join(names, " ")
+}
+
+// TestRowNamesPinned pins the names and addresses the row builder gives
+// the testbed and each city domain. Names travel on the wire (RtSolPr and
+// FBU carry the target AP's), but only the NAR's AP is ever a target in
+// the PAR→NAR wave, so the goldens alone miss a renamed PAR AP.
+func TestRowNamesPinned(t *testing.T) {
+	tb := NewTestbed(Params{Routers: 3})
+	addHostWave(tb, 2, sim.Second)
+	if got, want := rowNames(tb), "cn par ap-par nar ap-nar ar2 ap-ar2 mh0@50:1000 mh1@50:1001"; got != want {
+		t.Errorf("testbed names %q, want %q", got, want)
+	}
+	p := CityParams{Domains: 3, HostsPerDomain: 2, MAPs: 2, Shards: 2}
+	p.applyDefaults()
+	c := newCity(p)
+	for d, want := range []string{
+		"cn0 par0 ap0-par nar0 ap0-nar mh0-0@50:1001 mh0-1@50:1002",
+		"cn1 par1 ap1-par nar1 ap1-nar mh1-0@50:1003 mh1-1@50:1004",
+		"cn2 par2 ap2-par nar2 ap2-nar mh2-0@51:1005 mh2-1@51:1006",
+	} {
+		if got := rowNames(c.domains[d].tb); got != want {
+			t.Errorf("domain %d names %q, want %q", d, got, want)
+		}
 	}
 }

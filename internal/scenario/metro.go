@@ -239,16 +239,7 @@ func runMetroTestbed(p MetroParams, scheme core.Scheme, request, hosts int) *Tes
 		Seed:          p.Seed,
 		Engine:        p.Engine,
 	})
-	for i := 0; i < hosts; i++ {
-		from := window * sim.Time(i) / sim.Time(hosts)
-		unit := tb.AddMobileHost(
-			wireless.Linear{Start: 50, Speed: MHSpeed, From: from},
-			[]FlowSpec{AudioFlow(inet.Classes[i%3])},
-		)
-		src := unit.Sources[0]
-		src.Start(from + metroTrafficLead)
-		tb.Engine.Schedule(from+metroTrafficStop, src.Stop)
-	}
+	addHostWave(tb, hosts, window)
 	horizon := window + 12*sim.Second
 	if err := tb.Engine.Run(horizon); err != nil {
 		panic(fmt.Sprintf("metro: %v", err))
@@ -261,12 +252,38 @@ func runMetroTestbed(p MetroParams, scheme core.Scheme, request, hosts int) *Tes
 	return tb
 }
 
+// addHostWave adds the metro cell's and the city domain's staggered
+// handoff wave to tb: host i starts walking from 50 m towards the NAR at
+// window·i/hosts, with one audio flow of class i%3 that runs from
+// metroTrafficLead to metroTrafficStop after the host starts moving.
+func addHostWave(tb *Testbed, hosts int, window sim.Time) {
+	for i := 0; i < hosts; i++ {
+		from := window * sim.Time(i) / sim.Time(hosts)
+		src := tb.AddMobileHost(
+			wireless.Linear{Start: 50, Speed: MHSpeed, From: from},
+			[]FlowSpec{AudioFlow(inet.Classes[i%3])},
+		).Sources[0]
+		src.Start(from + metroTrafficLead)
+		tb.Engine.Schedule(from+metroTrafficStop, src.Stop)
+	}
+}
+
 // runMetroCell runs one (variant, host count) cell to completion.
 func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCell {
 	tb := runMetroTestbed(p, scheme, request, hosts)
-	cell := MetroCell{
-		Hosts:        hosts,
-		Events:       tb.Engine.Processed(),
+	cell, _, _ := tb.tally()
+	cell.Hosts, cell.Events = hosts, tb.Engine.Processed()
+	return cell
+}
+
+// tally reads a finished PAR/NAR testbed as a metro cell: the routers'
+// grants, refusals, peak concurrency and open sessions, the hosts'
+// handoffs, their flows' per-class loss and delays, and the recorder's
+// SafetyNet counters. Hosts and Events are left to the caller. It also
+// returns the sum and count of the flows' mean delays, so a caller pooling
+// many testbeds (the city) can average over all their flows.
+func (tb *Testbed) tally() (cell MetroCell, delaySum float64, delayed int) {
+	cell = MetroCell{
 		Grants:       tb.PAR.PoolGrants() + tb.NAR.PoolGrants(),
 		Refusals:     tb.PAR.PoolRefusals() + tb.NAR.PoolRefusals(),
 		PeakNAR:      tb.NAR.PeakGrantedSessions(),
@@ -278,8 +295,6 @@ func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCe
 		DedupNAR:     tb.Recorder.DedupDiscardsNAR(),
 		TotalSent:    tb.Recorder.TotalSent(),
 	}
-	var delaySum float64
-	var delayed int
 	for _, unit := range tb.MHs {
 		cell.Handoffs += len(unit.MH.Handoffs())
 		for _, flowID := range unit.Flows {
@@ -300,7 +315,7 @@ func runMetroCell(p MetroParams, scheme core.Scheme, request, hosts int) MetroCe
 	if delayed > 0 {
 		cell.MeanDelayMs = delaySum / float64(delayed)
 	}
-	return cell
+	return cell, delaySum, delayed
 }
 
 // classIndex maps a class to its position in inet.Classes.

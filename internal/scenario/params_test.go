@@ -7,12 +7,46 @@ import (
 	"repro/internal/core"
 )
 
-// TestParamsValidate checks the City and Metro parameter checks against a
-// table: zero values select defaults and pass; a negative count or time,
-// a host count that is not positive, an unknown scheme and a pool/α pair
-// core.ARConfig rejects fail; and RunCity and RunMetro panic with the
-// error before they build anything.
+// TestParamsValidate checks the testbed, City and Metro parameter checks
+// against a table: zero values select defaults and pass; a row that is
+// not 2 to NetMAP−NetPAR routers long, a negative count or time, a host
+// count that is not positive, an unknown scheme, a loss rate outside [0,1]
+// and a pool/α pair core.ARConfig rejects fail; and NewTestbed, RunCity
+// and RunMetro panic with the error before they build anything.
 func TestParamsValidate(t *testing.T) {
+	testbeds := []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"zero", Params{}, true},
+		{"explicit", Params{Routers: int(NetMAP - NetPAR), Scheme: core.SchemeDual, PoolSize: 40, Alpha: 4,
+			ARLinkDelay: 1, L2HandoffDelay: 1, RAInterval: 1, DrainInterval: 1, HomeAgentDelay: 1, ControlLossRate: 1}, true},
+		{"one router", Params{Routers: 1}, false},
+		{"negative routers", Params{Routers: -2}, false},
+		{"row claims the MAP's net", Params{Routers: int(NetMAP-NetPAR) + 1}, false},
+		{"negative link delay", Params{ARLinkDelay: -1}, false},
+		{"negative blackout", Params{L2HandoffDelay: -1}, false},
+		{"negative beacon period", Params{RAInterval: -1}, false},
+		{"negative drain interval", Params{DrainInterval: -1}, false},
+		{"negative home-agent delay", Params{HomeAgentDelay: -1}, false},
+		{"unknown scheme", Params{Scheme: 99}, false},
+		{"loss rate above one", Params{ControlLossRate: 1.5}, false},
+		{"negative loss rate", Params{ControlLossRate: -0.1}, false},
+		{"negative pool", Params{PoolSize: -1}, false},
+		{"alpha fills the pool", Params{PoolSize: 2, Alpha: 2}, false},
+	}
+	for _, tc := range testbeds {
+		t.Run("testbed/"+tc.name, func(t *testing.T) {
+			err := tc.p.Validate()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate(%+v) = %v, want ok %v", tc.p, err, tc.ok)
+			}
+			if !tc.ok {
+				wantPanic(t, err, func() { NewTestbed(tc.p) })
+			}
+		})
+	}
 	cities := []struct {
 		name string
 		p    CityParams

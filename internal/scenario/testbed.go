@@ -5,6 +5,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/inet"
@@ -99,6 +100,30 @@ type Params struct {
 	Engine *sim.Engine
 }
 
+// Validate reports parameters NewTestbed cannot build: a row that is not 2
+// to NetMAP−NetPAR routers long, a negative time, an unknown scheme, a
+// control loss rate outside [0,1], or a pool and α that core.ARConfig
+// rejects. Zero still selects the default everywhere.
+func (p Params) Validate() error {
+	if most := int(NetMAP - NetPAR); p.Routers < 0 || p.Routers == 1 || p.Routers > most {
+		return fmt.Errorf("testbed: a row of %d access routers; it takes 2 to %d (0 selects 2)", p.Routers, most)
+	}
+	if p.ARLinkDelay < 0 || p.L2HandoffDelay < 0 || p.RAInterval < 0 || p.DrainInterval < 0 || p.HomeAgentDelay < 0 {
+		return fmt.Errorf("testbed: negative time: ARLinkDelay %v, L2HandoffDelay %v, RAInterval %v, DrainInterval %v, HomeAgentDelay %v",
+			p.ARLinkDelay, p.L2HandoffDelay, p.RAInterval, p.DrainInterval, p.HomeAgentDelay)
+	}
+	if p.Scheme != 0 && !p.Scheme.Valid() {
+		return fmt.Errorf("testbed: unknown scheme %d", p.Scheme)
+	}
+	if p.ControlLossRate < 0 || p.ControlLossRate > 1 {
+		return fmt.Errorf("testbed: control loss rate %g outside [0,1]", p.ControlLossRate)
+	}
+	if err := (core.ARConfig{PoolSize: p.PoolSize, Alpha: p.Alpha}).Validate(); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	return nil
+}
+
 func (p *Params) applyDefaults() {
 	if p.Routers == 0 {
 		p.Routers = 2
@@ -184,18 +209,23 @@ type Testbed struct {
 
 	apLinks []*netsim.Link
 	sink    *sink
+	// firstRCoA is the host part of the first mobile host's RCoA; host i
+	// gets firstRCoA+i. Station names are mhPrefix followed by i.
+	firstRCoA inet.HostID
+	mhPrefix  string
 
 	// Faults is the control-plane loss injector, nil unless
 	// Params.ControlLossRate is positive.
 	Faults *netsim.FaultInjector
 }
 
-// NewTestbed assembles the reference topology with no mobile hosts yet.
+// NewTestbed assembles the reference topology with no mobile hosts yet. It
+// panics with Params.Validate's error on parameters it cannot build.
 func NewTestbed(p Params) *Testbed {
-	p.applyDefaults()
-	if p.Routers < 2 || p.Routers > int(NetMAP-NetPAR) {
-		panic(fmt.Sprintf("scenario: a row of %d access routers; it takes 2 to %d", p.Routers, NetMAP-NetPAR))
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
+	p.applyDefaults()
 	engine := p.Engine
 	if engine == nil {
 		engine = sim.NewEngine()
@@ -203,8 +233,6 @@ func NewTestbed(p Params) *Testbed {
 		engine.Reset()
 	}
 	topo := netsim.NewTopology(engine)
-	medium := wireless.NewMedium(engine)
-	rng := sim.NewRNG(p.Seed)
 
 	// The construction order (links, net claims, beacon phases, fault
 	// streams) is fixed: it decides every sequence number and random draw.
@@ -213,29 +241,81 @@ func NewTestbed(p Params) *Testbed {
 	topo.Connect(cn, mapRouter, netsim.LinkConfig{BandwidthBPS: coreBandwidth, Delay: 2 * sim.Millisecond})
 	topo.ClaimNet(NetCN, cn)
 	topo.ClaimNet(NetMAP, mapRouter)
-	routers := make([]*netsim.Router, p.Routers)
-	for i := range routers {
+	tb := &Testbed{
+		Params: p, Engine: engine, Topo: topo, RNG: sim.NewRNG(p.Seed), CN: cn,
+		MAP:       mip.NewAgent(engine, mapRouter, mip.AgentConfig{ManagedNet: NetMAP, Alloc: topo.AllocPacket}),
+		firstRCoA: 1000, mhPrefix: "mh",
+	}
+	if p.HomeAgentDelay > 0 {
+		haRouter := netsim.NewRouter("ha", inet.Addr{Net: NetHome, Host: 1})
+		topo.Connect(mapRouter, haRouter, netsim.LinkConfig{
+			BandwidthBPS: coreBandwidth, Delay: p.HomeAgentDelay,
+		})
+		topo.ClaimNet(NetHome, haRouter)
+		tb.Home = mip.NewAgent(engine, haRouter, mip.AgentConfig{ManagedNet: NetHome, Alloc: topo.AllocPacket})
+	}
+	neighbours := tb.buildRow(NetPAR, func(i int) (string, string) {
 		name := fmt.Sprintf("ar%d", i)
 		if i < 2 {
 			name = [...]string{"par", "nar"}[i]
 		}
-		net := NetPAR + inet.NetID(i)
-		routers[i] = netsim.NewRouter(name, inet.Addr{Net: net, Host: 1})
-		topo.Connect(mapRouter, routers[i], netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
-		topo.ClaimNet(net, routers[i])
+		return name, "ap-" + name
+	}, func(_ int, r *netsim.Router) {
+		topo.Connect(mapRouter, r, netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: 2 * sim.Millisecond})
+	})
+	// Bandwidth-overhead accounting for the anchor's bicast duplicates.
+	tb.MAP.OnBicast = tb.Recorder.BicastDuplicate
+
+	// Control-plane loss on the access links. The attachment order is fixed
+	// so the per-interface fault streams are a pure function of the seed.
+	if p.ControlLossRate > 0 {
+		tb.Faults = netsim.NewFaultInjector(p.Seed)
+		lossy := netsim.FaultConfig{LossRate: p.ControlLossRate, ControlOnly: true}
+		for _, l := range tb.apLinks {
+			tb.Faults.AttachLink(l, lossy)
+		}
+		for _, l := range neighbours {
+			tb.Faults.AttachLink(l, lossy)
+		}
+	}
+	return tb
+}
+
+// buildRow builds the access network on tb.Engine and tb.Topo, which the
+// caller has set up with tb.Params (defaults applied), the beacon stream
+// tb.RNG, the correspondent node and the anchor: a row of Params.Routers
+// access routers, router i named by name(i) with its access point, owning
+// net net0+i and linked to its anchor by uplink(i, router). Neighbours are
+// linked directly with ARLinkDelay and access point i sits at i·APDistance.
+// Every dead packet of the row goes through one sink, and the beacons start
+// on staggered phases. It returns the neighbour links. It never resets the
+// engine: a city shard's engine carries many rows.
+func (tb *Testbed) buildRow(net0 inet.NetID, name func(i int) (router, ap string),
+	uplink func(i int, r *netsim.Router)) []*netsim.Link {
+	p, engine, topo := tb.Params, tb.Engine, tb.Topo
+	tb.Medium = wireless.NewMedium(engine)
+	tb.Recorder = stats.NewRecorder()
+	routers := make([]*netsim.Router, p.Routers)
+	apNames := make([]string, p.Routers)
+	for i := range routers {
+		var router string
+		router, apNames[i] = name(i)
+		routers[i] = netsim.NewRouter(router, inet.Addr{Net: net0 + inet.NetID(i), Host: 1})
+		uplink(i, routers[i])
+		topo.ClaimNet(net0+inet.NetID(i), routers[i])
 	}
 	neighbours := make([]*netsim.Link, p.Routers-1)
 	for i := range neighbours {
 		neighbours[i] = topo.Connect(routers[i], routers[i+1], netsim.LinkConfig{BandwidthBPS: arBandwidth, Delay: p.ARLinkDelay})
 	}
-	aps := make([]*wireless.AccessPoint, p.Routers)
-	apLinks := make([]*netsim.Link, p.Routers)
+	tb.APs = make([]*wireless.AccessPoint, p.Routers)
+	tb.apLinks = make([]*netsim.Link, p.Routers)
 	for i, r := range routers {
-		aps[i] = wireless.NewAccessPoint("ap-"+r.Name(), medium, wireless.APConfig{
+		tb.APs[i] = wireless.NewAccessPoint(apNames[i], tb.Medium, wireless.APConfig{
 			Pos: float64(i) * APDistance, Radius: APRadius, BandwidthBPS: airBandwidth, AirDelay: sim.Millisecond,
 			ReturnUndeliverable: true,
 		})
-		apLinks[i] = topo.Connect(r, aps[i], netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
+		tb.apLinks[i] = topo.Connect(r, tb.APs[i], netsim.LinkConfig{BandwidthBPS: apBandwidth, Delay: sim.Millisecond / 2})
 	}
 	if err := topo.ComputeRoutes(); err != nil {
 		panic(fmt.Sprintf("scenario: route computation failed: %v", err))
@@ -244,39 +324,12 @@ func NewTestbed(p Params) *Testbed {
 	// pinned to the direct neighbour links: the thesis varies the PAR–NAR
 	// link's delay specifically, so it must stay on the path even when
 	// slower than the detour through the MAP.
-	pinNeighbours := func() {
-		for i, l := range neighbours {
-			routers[i].AddPrefixRoute(NetPAR+inet.NetID(i+1), l.A())
-			routers[i+1].AddPrefixRoute(NetPAR+inet.NetID(i), l.B())
-		}
-	}
-	pinNeighbours()
-
-	agent := mip.NewAgent(engine, mapRouter, mip.AgentConfig{
-		ManagedNet: NetMAP,
-		Alloc:      topo.AllocPacket,
-	})
-
-	var home *mip.Agent
-	if p.HomeAgentDelay > 0 {
-		haRouter := netsim.NewRouter("ha", inet.Addr{Net: NetHome, Host: 1})
-		topo.Connect(mapRouter, haRouter, netsim.LinkConfig{
-			BandwidthBPS: coreBandwidth, Delay: p.HomeAgentDelay,
-		})
-		topo.ClaimNet(NetHome, haRouter)
-		if err := topo.ComputeRoutes(); err != nil {
-			panic(fmt.Sprintf("scenario: home-agent route computation failed: %v", err))
-		}
-		// Re-pin the inter-AR routes clobbered by the recomputation.
-		pinNeighbours()
-		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{
-			ManagedNet: NetHome,
-			Alloc:      topo.AllocPacket,
-		})
+	for i, l := range neighbours {
+		routers[i].AddPrefixRoute(net0+inet.NetID(i+1), l.A())
+		routers[i+1].AddPrefixRoute(net0+inet.NetID(i), l.B())
 	}
 
 	dir := core.NewDirectory()
-	recorder := stats.NewRecorder()
 	arCfg := core.ARConfig{
 		Scheme:            p.Scheme,
 		PoolSize:          p.PoolSize,
@@ -288,65 +341,30 @@ func NewTestbed(p Params) *Testbed {
 		Alloc:             topo.AllocPacket,
 		Release:           topo.ReleasePacket,
 	}
-	ars := make([]*core.AccessRouter, p.Routers)
+	tb.ARs = make([]*core.AccessRouter, p.Routers)
 	for i, r := range routers {
-		ars[i] = core.NewAccessRouter(engine, r, NetPAR+inet.NetID(i), dir, arCfg)
-		ars[i].AddAP(aps[i].Name(), apLinks[i].A())
+		tb.ARs[i] = core.NewAccessRouter(engine, r, net0+inet.NetID(i), dir, arCfg)
+		tb.ARs[i].AddAP(tb.APs[i].Name(), tb.apLinks[i].A())
 	}
+	tb.PAR, tb.NAR, tb.APPAR, tb.APNAR = tb.ARs[0], tb.ARs[1], tb.APs[0], tb.APs[1]
 
 	// Every dead packet goes through the sink. Wired tail drops are charged
 	// to the link-queue site; the reference topology is provisioned so
 	// they are rare.
-	s := &sink{topo: topo, rec: recorder}
-	s.wireAccess(routers, ars, aps)
+	tb.sink = &sink{topo: topo, rec: tb.Recorder}
+	tb.sink.wireAccess(routers, tb.ARs, tb.APs)
 	// Impair discards (the fault injector eating a packet) are final sinks
 	// too. The injector is control-only, and control payloads stay off the
 	// pool, so today this recycles nothing — it is here so a future
 	// data-plane fault config cannot silently leak.
-	topo.HookDiscards(s.release)
-	// Bandwidth-overhead accounting for the anchor's bicast duplicates.
-	agent.OnBicast = func(pkt *inet.Packet) { recorder.BicastDuplicate(pkt) }
+	topo.HookDiscards(tb.sink.release)
 
 	// Staggered beacons: each access point on its own phase.
-	for i, ap := range aps {
-		ap.StartAdvertising(wireless.Advertisement{Router: routers[i].Addr(), Net: NetPAR + inet.NetID(i)},
-			p.RAInterval, rng.Uniform(0, p.RAInterval))
+	for i, ap := range tb.APs {
+		ap.StartAdvertising(wireless.Advertisement{Router: routers[i].Addr(), Net: net0 + inet.NetID(i)},
+			p.RAInterval, tb.RNG.Uniform(0, p.RAInterval))
 	}
-
-	// Control-plane loss on the access links. The attachment order is fixed
-	// so the per-interface fault streams are a pure function of the seed.
-	var faults *netsim.FaultInjector
-	if p.ControlLossRate > 0 {
-		faults = netsim.NewFaultInjector(p.Seed)
-		lossy := netsim.FaultConfig{LossRate: p.ControlLossRate, ControlOnly: true}
-		for _, l := range apLinks {
-			faults.AttachLink(l, lossy)
-		}
-		for _, l := range neighbours {
-			faults.AttachLink(l, lossy)
-		}
-	}
-
-	return &Testbed{
-		Params:   p,
-		Engine:   engine,
-		Topo:     topo,
-		Medium:   medium,
-		Recorder: recorder,
-		RNG:      rng,
-		CN:       cn,
-		MAP:      agent,
-		Home:     home,
-		ARs:      ars,
-		APs:      aps,
-		PAR:      ars[0],
-		NAR:      ars[1],
-		APPAR:    aps[0],
-		APNAR:    aps[1],
-		apLinks:  apLinks,
-		sink:     s,
-		Faults:   faults,
-	}
+	return neighbours
 }
 
 // AddMobileHost creates a mobile host attached to the PAR's access point,
@@ -356,15 +374,14 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 	idx := len(tb.MHs)
 	hostID := inet.HostID(10 + idx)
 	anchor := tb.MAP
-	rcoa := inet.Addr{Net: NetMAP, Host: 1000 + inet.HostID(idx)}
 	if tb.Home != nil {
 		// Classic deployment: the stable address is the home address and
 		// the anchor is the distant home agent.
 		anchor = tb.Home
-		rcoa = inet.Addr{Net: NetHome, Host: 1000 + inet.HostID(idx)}
 	}
+	rcoa := inet.Addr{Net: anchor.Router().Addr().Net, Host: tb.firstRCoA + inet.HostID(idx)}
 
-	station := wireless.NewStation(fmt.Sprintf("mh%d", idx), tb.Medium, motion, wireless.StationConfig{
+	station := wireless.NewStation(tb.mhPrefix+strconv.Itoa(idx), tb.Medium, motion, wireless.StationConfig{
 		BandwidthBPS:   airBandwidth,
 		AirDelay:       sim.Millisecond,
 		L2HandoffDelay: tb.Params.L2HandoffDelay,
@@ -378,7 +395,7 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 		HysteresisDB:      tb.Params.HysteresisDB,
 		RetransmitUnacked: tb.Params.ControlLossRate > 0,
 	})
-	mh.Attach(tb.APPAR, tb.PAR.Addr(), NetPAR)
+	mh.Attach(tb.APPAR, tb.PAR.Addr(), tb.PAR.Net())
 	tb.PAR.AttachResident(mh.LCoA(), tb.apLinks[0].A())
 	anchor.Register(rcoa, mh.LCoA(), 3600*sim.Second)
 	mh.StartRegistration()
