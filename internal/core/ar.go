@@ -196,6 +196,10 @@ type AccessRouter struct {
 	pool   *buffer.Pool
 	dir    *Directory
 
+	// parLife and narLife are the lanes of the session lifetimes this
+	// router arms as a PAR and as a NAR.
+	parLife, narLife sim.Lane
+
 	// aps lists the router's own access points in registration order;
 	// the first is the default target for arriving handoffs.
 	aps []apLink
@@ -319,6 +323,9 @@ func NewAccessRouter(engine *sim.Engine, router *netsim.Router, net inet.NetID,
 		cfg:    cfg,
 		pool:   buffer.NewPool(cfg.PoolSize),
 		dir:    dir,
+
+		parLife: engine.SharedLane(parSessionLifetimes),
+		narLife: engine.SharedLane(narSessionLifetimes),
 	}
 	ar.auth = fho.NewAuthenticator(cfg.AuthKey)
 	router.Intercept = ar.intercept
@@ -667,7 +674,7 @@ func (ar *AccessRouter) sendHI(s *session, hi *fho.HI) {
 	s.lastHI = hi
 	s.hiTries = 1
 	if s.hiTimer == nil {
-		s.hiTimer = sim.NewTimer(ar.engine, func() { ar.retryHI(s) })
+		s.hiTimer = newClassTimer(ar.engine, signalRetries, func() { ar.retryHI(s) })
 	}
 	s.hiTimer.Reset(ar.cfg.RetransmitInterval)
 	ar.sendControl(s.peer, hi)
@@ -703,7 +710,7 @@ func (ar *AccessRouter) armTimers(s *session, bi *fho.BufferInit) {
 	if bi != nil {
 		if bi.Start > 0 {
 			if s.startTimer == nil {
-				s.startTimer = sim.NewTimer(ar.engine, func() {
+				s.startTimer = newClassTimer(ar.engine, redirectStarts, func() {
 					if !s.redirecting {
 						s.redirecting = true
 					}
@@ -718,7 +725,7 @@ func (ar *AccessRouter) armTimers(s *session, bi *fho.BufferInit) {
 	if s.lifeTimer == nil {
 		s.lifeTimer = sim.NewTimer(ar.engine, func() { ar.expire(s) })
 	}
-	s.lifeTimer.Reset(life)
+	s.lifeTimer.ResetIn(ar.parLife, life)
 }
 
 // handleHI is the NAR side of initiation: validate the NCoA, install the
@@ -762,7 +769,7 @@ func (ar *AccessRouter) handleHI(in *netsim.Iface, pkt *inet.Packet, msg *fho.HI
 	if s.lifeTimer == nil {
 		s.lifeTimer = sim.NewTimer(ar.engine, func() { ar.expire(s) })
 	}
-	s.lifeTimer.Reset(life)
+	s.lifeTimer.ResetIn(ar.narLife, life)
 	ar.sessions.Set(msg.PCoA, s)
 	if ar.cfg.Scheme == SchemeSafetyNet {
 		ar.ncoaIndex.Set(s.ncoa, s)
@@ -964,7 +971,7 @@ func (ar *AccessRouter) handleFNA(in *netsim.Iface, msg *fho.FNA) {
 		if ar.cfg.RetransmitUnacked {
 			s.bfTries = 1
 			if s.bfTimer == nil {
-				s.bfTimer = sim.NewTimer(ar.engine, func() { ar.retryBF(s) })
+				s.bfTimer = newClassTimer(ar.engine, signalRetries, func() { ar.retryBF(s) })
 			}
 			s.bfTimer.Reset(ar.cfg.RetransmitInterval)
 		}
@@ -973,7 +980,7 @@ func (ar *AccessRouter) handleFNA(in *netsim.Iface, msg *fho.FNA) {
 	// return the reservation. The NCoA host route stays: the host now
 	// lives here.
 	if s.graceTimer == nil {
-		s.graceTimer = sim.NewTimer(ar.engine, func() {
+		s.graceTimer = newClassTimer(ar.engine, graceDelays, func() {
 			if cur, ok := ar.sessions.Get(s.pcoa); ok && cur == s {
 				ar.closeSession(s, false)
 			}
@@ -1012,7 +1019,7 @@ func (ar *AccessRouter) boundFallbackRoute(pcoa, ncoa inet.Addr) {
 	}
 	t, ok := ar.fallbackRoutes.Get(pcoa)
 	if !ok {
-		t = sim.NewTimer(ar.engine, func() {
+		t = newClassTimer(ar.engine, fallbackRouteLifetimes, func() {
 			ar.fallbackRoutes.Delete(pcoa)
 			if _, owned := ar.sessions.Get(pcoa); owned {
 				return

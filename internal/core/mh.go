@@ -220,6 +220,9 @@ type MobileHost struct {
 
 	buRetry   *sim.Timer
 	buRefresh *sim.Timer
+	// holdLane holds the removals of previous care-of addresses, each one
+	// hold time after its handoff.
+	holdLane  sim.Lane
 	buPending bool
 	buTries   int
 
@@ -272,11 +275,12 @@ func NewMobileHost(engine *sim.Engine, station *wireless.Station,
 	station.OnPacket = mh.handlePacket
 	station.OnLinkUp = mh.handleLinkUp
 	mh.auth = fho.NewAuthenticator(cfg.AuthKey)
-	mh.solicitT = sim.NewTimer(engine, mh.solicitRetry)
-	mh.fbuT = sim.NewTimer(engine, mh.retryFBU)
-	mh.relT = sim.NewTimer(engine, mh.retryRelease)
-	mh.buRetry = sim.NewTimer(engine, mh.retryBindingUpdate)
-	mh.buRefresh = sim.NewTimer(engine, mh.refreshBinding)
+	mh.solicitT = newClassTimer(engine, signalRetries, mh.solicitRetry)
+	mh.fbuT = newClassTimer(engine, signalRetries, mh.retryFBU)
+	mh.relT = newClassTimer(engine, signalRetries, mh.retryRelease)
+	mh.buRetry = newClassTimer(engine, buRetries, mh.retryBindingUpdate)
+	mh.buRefresh = newClassTimer(engine, buRefreshes, mh.refreshBinding)
+	mh.holdLane = engine.SharedLane(pcoaHolds)
 	return mh
 }
 
@@ -908,7 +912,7 @@ func (mh *MobileHost) handleLinkUp(ap *wireless.AccessPoint) {
 		mh.sendControl(mh.arAddr, fna)
 		mh.armReleaseRetry(fna)
 		mh.registerWithMAP()
-		mh.engine.Schedule(mh.cfg.PCoAHoldTime, func() { mh.station.RemoveAddr(pcoa) })
+		mh.engine.ScheduleIn(mh.holdLane, mh.cfg.PCoAHoldTime, func() { mh.station.RemoveAddr(pcoa) })
 		mh.finishHandoff()
 		return
 	}
@@ -941,7 +945,7 @@ func (mh *MobileHost) handleLinkUp(ap *wireless.AccessPoint) {
 	mh.armReleaseRetry(fna)
 	mh.registerWithMAP()
 	// Keep accepting the PCoA while buffered packets drain.
-	mh.engine.Schedule(mh.cfg.PCoAHoldTime, func() { mh.station.RemoveAddr(pcoa) })
+	mh.engine.ScheduleIn(mh.holdLane, mh.cfg.PCoAHoldTime, func() { mh.station.RemoveAddr(pcoa) })
 	mh.finishHandoff()
 }
 

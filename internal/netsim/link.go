@@ -89,6 +89,9 @@ type Iface struct {
 	// construction so the hot path schedules no fresh closures.
 	inflight  pktFIFO
 	deliverFn sim.Handler
+	// lane is the direction's event lane: deliveries are scheduled in
+	// acceptance order, which is the engine's order.
+	lane sim.Lane
 
 	// xport, when non-nil, marks this direction as crossing a shard
 	// boundary: accepted packets park in the port's outbox for the next
@@ -235,7 +238,7 @@ func (i *Iface) Send(pkt *inet.Packet) {
 		return
 	}
 	i.inflight.push(pkt)
-	e.AtPinned(dep+i.link.cfg.Delay, dep, start, ent.pseq, i.deliverFn)
+	e.AtPinnedIn(i.lane, dep+i.link.cfg.Delay, dep, start, ent.pseq, i.deliverFn)
 }
 
 // deliver fires one propagation delay after a departure and hands the
@@ -336,8 +339,8 @@ func (i *Iface) phantomFired(ent *txEntry) bool {
 // (the same engine for a plain link) with the delivery handlers pre-bound.
 func newLink(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *Link {
 	l := &Link{cfg: cfg}
-	l.a = &Iface{engine: ea, node: a, link: l}
-	l.b = &Iface{engine: eb, node: b, link: l}
+	l.a = &Iface{engine: ea, node: a, link: l, lane: ea.NewLane()}
+	l.b = &Iface{engine: eb, node: b, link: l, lane: eb.NewLane()}
 	l.a.peer, l.b.peer = l.b, l.a
 	l.a.deliverFn, l.b.deliverFn = l.a.deliver, l.b.deliver
 	return l

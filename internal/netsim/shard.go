@@ -124,8 +124,8 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	l := newLink(ea, eb, a, b, cfg)
 
 	// One mailbox per direction, delivering into the far side's engine.
-	pa := &xPort{owner: x, recv: eb, dst: l.b}
-	pb := &xPort{owner: x, recv: ea, dst: l.a}
+	pa := &xPort{owner: x, recv: eb, lane: eb.NewLane(), dst: l.b}
+	pb := &xPort{owner: x, recv: ea, lane: ea.NewLane(), dst: l.a}
 	pa.deliverFn = pa.deliver
 	pb.deliverFn = pb.deliver
 	l.a.xport = pa
@@ -159,7 +159,7 @@ func (x *ShardExchange) Flush() {
 		for i := range p.outbox {
 			e := &p.outbox[i]
 			p.pending.push(e.pkt)
-			p.recv.At(e.at, p.deliverFn)
+			p.recv.AtIn(p.lane, e.at, p.deliverFn)
 			e.pkt = nil
 		}
 		p.outbox = p.outbox[:0]
@@ -179,8 +179,11 @@ type xEntry struct {
 // the FIFO head is always the packet whose arrival event is firing —
 // exactly the invariant Iface.deliver relies on for in-shard links.
 type xPort struct {
-	owner     *ShardExchange
-	recv      *sim.Engine
+	owner *ShardExchange
+	recv  *sim.Engine
+	// lane is the port's event lane on recv: arrivals are flushed in
+	// order.
+	lane      sim.Lane
 	dst       *Iface // receiving interface (counts the delivery)
 	outbox    []xEntry
 	pending   pktFIFO

@@ -41,8 +41,8 @@ func BenchmarkTimerReset(b *testing.B) {
 func BenchmarkSchedulerChurn(b *testing.B) { benchChurn(b, 4096) }
 
 // BenchmarkSchedulerDepth is BenchmarkSchedulerChurn at depths from 16 to
-// 4096 pending events, the sweep deepQueue is chosen from: a heap pop
-// costs more the deeper the heap, a bucket refill does not.
+// 4096 pending events: what a heap pop costs an undeclared source as the
+// heap deepens.
 func BenchmarkSchedulerDepth(b *testing.B) {
 	for window := 16; window <= 4096; window *= 2 {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) { benchChurn(b, window) })
@@ -70,7 +70,9 @@ func benchChurn(b *testing.B, window int) {
 
 // BenchmarkSchedulerMetroMix holds the queue mix a 2,000-host metro cell
 // (seed 1) keeps pending, about 5,200 queued entries of which about 4,300
-// are live, and fires one event per operation:
+// are live, with no lane declared: every re-arm waits in the heap, and only
+// the set-up pushes wait in the set-up lane until they fire. It is what the
+// mix costs undeclared sources, and it fires one event per operation:
 //   - 2,000 far-future binding-refresh timers, re-armed 5–15 s out;
 //   - 1,060 tickers with a 20 ms period;
 //   - 1,060 one-shot stops 1–5 s out, each replaced when it fires;
@@ -123,6 +125,67 @@ func BenchmarkSchedulerMetroMix(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerLaneMix holds the queue a 2,000-host metro cell
+// (seed 1) keeps on its lanes, about 6,500 queued entries in ~17 live
+// lanes with the heap nearly empty, and fires one event per operation:
+//   - 1,060 tickers with a 20 ms period, sharing one lane;
+//   - every tick sends a hop into one of 12 link lanes, each with a fixed
+//     delay of 0.1–1.2 ms;
+//   - 2,000 binding-refresh timers in one class lane, re-armed 45 s out;
+//   - 178 of the tickers reset a 120 ms guard timer of one class on every
+//     tick, which keeps about 890 cancelled entries in its lane;
+//   - 2,000 stops pushed at set-up, before the first step, over 10–1000 s:
+//     the set-up lane sorts them once.
+func BenchmarkSchedulerLaneMix(b *testing.B) {
+	const (
+		refreshes = 2000
+		tickers   = 1060
+		stops     = 2000
+		guarded   = 178
+		links     = 12
+		period    = 20 * Millisecond
+	)
+	e := NewEngine()
+	rng := NewRNG(1)
+	hop := func() {}
+	var hops [links]Lane
+	for k := range hops {
+		hops[k] = e.NewLane()
+	}
+	refreshLane := e.SharedLane("refresh")
+	for i := 0; i < refreshes; i++ {
+		var tm *Timer
+		tm = NewTimerIn(e, refreshLane, func() { tm.Reset(45 * Second) })
+		tm.Reset(rng.Jitter(45 * Second))
+	}
+	for i := 0; i < stops; i++ {
+		e.Schedule(rng.Uniform(10*Second, 1000*Second), hop)
+	}
+	guardLane := e.SharedLane("guard")
+	for i := 0; i < tickers; i++ {
+		var guard *Timer
+		if i < guarded {
+			guard = NewTimerIn(e, guardLane, hop)
+		}
+		k := i % links
+		NewTickerAt(e, rng.Jitter(period), period, func() {
+			e.ScheduleIn(hops[k], Time(k+1)*100*Microsecond, hop)
+			if guard != nil {
+				guard.Reset(6 * period)
+			}
+		})
+	}
+	// Let the guard timers fill their cancelled backlog.
+	if err := e.Run(10 * period); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 // BenchmarkSchedulerShallowMix holds the queue mix a small thesis topology
 // keeps pending, 21 queued entries on average (the thesis-figures census
 // reads 22), and fires one event per operation:
@@ -134,7 +197,9 @@ func BenchmarkSchedulerMetroMix(b *testing.B) {
 //   - one ticker resets a 120 ms guard timer on every tick, which keeps
 //     about 6 cancelled entries queued.
 //
-// The queue never reaches deepQueue, so this holds the plain heap's cost.
+// No lane is declared, and the set-up pushes wait in the set-up lane only
+// until they fire, early in the run, so this holds the cost of a shallow
+// heap.
 func BenchmarkSchedulerShallowMix(b *testing.B) {
 	const period = 20 * Millisecond
 	e := NewEngine()

@@ -5,22 +5,23 @@
 // scheduled (stable FIFO tie-break), which makes every simulation in this
 // repository reproducible bit-for-bit.
 //
-// The queue picks its layout from the depth it observes (see heap.go).
-// A shallow queue is an inlined 4-ary min-heap ordered by eventLess: each
-// slot carries a copy of its event's instant, and a sift picks the
-// smallest of four children with conditional moves instead of branches,
-// consulting the full key only when instants tie. Past deepQueue entries
-// the heap keeps only the events at or before an instant base, and every
-// later one waits in a radix bucket on the digits of its instant until
-// the heap drains and the lowest bucket refills it: a bucket of one block
-// as a sorted run served in order, a longer one by moving its earliest
-// instant into the heap and the rest to finer buckets. Both layouts fire
-// the same total order. For events scheduled through Schedule/At that order
-// is exactly the historical (at, seq) FIFO rule; AtPinned additionally
-// lets a caller place an event at an explicit position inside an
-// instant, so an analytically computed event can land precisely where an
-// equivalent event-driven chain would have inserted it (see
-// internal/netsim's links).
+// The queue is one heap plus lanes (see queue.go). A lane is a FIFO for a
+// declared source whose events arrive in the engine's order: a link
+// direction, a cross-shard port, an AP's air directions, the tickers of one
+// period, a class of fixed-delay timers. A push joins its lane only when
+// its full key is not below the lane's tail, and every other push goes to
+// the heap, or, made while no handler runs, to a set-up lane sorted on the
+// next peek. The heads of the non-empty lanes sit in a second, small heap,
+// and each step fires the smaller of the two heaps' tops. Both heaps are
+// 4-ary and ordered by eventLess: each slot carries a copy of its event's
+// instant, and a sift picks the smallest of four children with conditional
+// moves instead of branches, consulting the full key only when instants
+// tie. The order is the same total order whichever way an event waits. For
+// events scheduled through Schedule/At that order is exactly the
+// historical (at, seq) FIFO rule; AtPinned additionally lets a caller
+// place an event at an explicit position inside an instant, so an
+// analytically computed event can land precisely where an equivalent
+// event-driven chain would have inserted it (see internal/netsim's links).
 //
 // The hot path is allocation-free in steady state: fired and cancelled
 // events are recycled through a free list, and EventRefs carry a
@@ -91,6 +92,8 @@ type event struct {
 	vseq2 uint64
 	fn    Handler
 	gen   uint64 // incremented every time the slot is recycled
+	// lane is the id of the lane holding the event, 0 for the heap.
+	lane uint32
 	// fired marks the event whose handler is running, so a handler that
 	// cancels its own event is a no-op; cancel marks a lazily deleted one.
 	fired  bool
@@ -174,6 +177,8 @@ type Engine struct {
 	curVins2 Time
 	curVseq2 uint64
 	curSeq   uint64
+	// shared maps SharedLane keys to their lanes.
+	shared map[any]Lane
 }
 
 // NewEngine returns an engine with its clock at zero.
@@ -219,21 +224,29 @@ func (e *Engine) recycle(ev *event) {
 // zero (the event fires at the current instant, after already-queued events
 // for that instant).
 func (e *Engine) Schedule(delay Time, fn Handler) EventRef {
+	return e.ScheduleIn(Lane{}, delay, fn)
+}
+
+// ScheduleIn is Schedule with the event declared to lane l.
+func (e *Engine) ScheduleIn(l Lane, delay Time, fn Handler) EventRef {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	return e.AtIn(l, e.now+delay, fn)
 }
 
 // At runs fn at the given absolute instant. Instants in the past are clamped
 // to the current time. It is AtPinned at the position an insertion made now
 // gets: the running handler's context, or outside any handler a context of
 // its own (see eventLess).
-func (e *Engine) At(at Time, fn Handler) EventRef {
+func (e *Engine) At(at Time, fn Handler) EventRef { return e.AtIn(Lane{}, at, fn) }
+
+// AtIn is At with the event declared to lane l.
+func (e *Engine) AtIn(l Lane, at Time, fn Handler) EventRef {
 	if e.firing {
-		return e.AtPinned(at, e.now, e.curVins, e.curSeq, fn)
+		return e.AtPinnedIn(l, at, e.now, e.curVins, e.curSeq, fn)
 	}
-	return e.AtPinned(at, e.now, e.now, e.seq, fn)
+	return e.AtPinnedIn(l, at, e.now, e.now, e.seq, fn)
 }
 
 // AtPinned runs fn at the given absolute instant with an explicitly pinned
@@ -246,6 +259,11 @@ func (e *Engine) At(at Time, fn Handler) EventRef {
 // components are clamped to stay internally consistent (vins <= at,
 // vins2 <= vins).
 func (e *Engine) AtPinned(at, vins, vins2 Time, vseq2 uint64, fn Handler) EventRef {
+	return e.AtPinnedIn(Lane{}, at, vins, vins2, vseq2, fn)
+}
+
+// AtPinnedIn is AtPinned with the event declared to lane l.
+func (e *Engine) AtPinnedIn(l Lane, at, vins, vins2 Time, vseq2 uint64, fn Handler) EventRef {
 	if fn == nil {
 		panic("sim: event scheduled with nil handler")
 	}
@@ -266,9 +284,30 @@ func (e *Engine) AtPinned(at, vins, vins2 Time, vseq2 uint64, fn Handler) EventR
 	ev.vseq2 = vseq2
 	ev.fn = fn
 	e.seq++
-	e.queue.push(ev)
+	e.queue.push(ev, l, e.firing)
 	e.live++
 	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// NewLane declares a lane of its own on the engine: a source, such as one
+// link direction, whose events are pushed in the engine's order.
+func (e *Engine) NewLane() Lane { return e.queue.newLane() }
+
+// SharedLane returns the lane declared under key, declaring it on first
+// use, so that sources sharing a key share a lane: every ticker of one
+// period, every timer of one fixed-delay class. key must be comparable; a
+// key of an unexported type keeps one package's lanes apart from
+// another's. Reset forgets every key.
+func (e *Engine) SharedLane(key any) Lane {
+	if l, ok := e.shared[key]; ok {
+		return l
+	}
+	if e.shared == nil {
+		e.shared = make(map[any]Lane)
+	}
+	l := e.NewLane()
+	e.shared[key] = l
+	return l
 }
 
 // FiringKey returns the equal-instant ordering key (vins, vins2, vseq2,
@@ -320,7 +359,7 @@ func (e *Engine) head() *event {
 		if ev == nil || !ev.cancel {
 			return ev
 		}
-		e.queue.pop()
+		e.queue.pop(ev)
 		e.lazy--
 		e.recycle(ev)
 	}
@@ -333,10 +372,10 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	// eventQueue.pop, spelled out: the call it adds costs a shallow queue
-	// more than the branch.
-	if e.queue.deep {
-		e.queue.popDeep()
+	// eventQueue.pop, spelled out: the call it adds costs more than the
+	// branches.
+	if ev.lane != 0 {
+		e.queue.popLane(ev.lane)
 	} else {
 		e.queue.heapQueue.pop()
 	}
@@ -423,15 +462,17 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
-// queue and Defer list, sequence counter rewound — while keeping the
-// event free list and queue capacity, so a worker can run many
+// queue and Defer list, sequence counter rewound, no lane declared — while
+// keeping the event free list and queue capacity, so a worker can run many
 // simulation replicas without re-paying allocation warm-up. Events still
 // queued are recycled unfired; refs into the previous run become stale, so
-// cancelling through them is a no-op. Because the sequence counter
-// restarts at zero, a reset engine schedules events in exactly the order a
-// fresh engine would: replica results are identical either way.
+// cancelling through them is a no-op, and its lanes declare nothing in the
+// next run. Because the sequence counter restarts at zero, a reset engine
+// schedules events in exactly the order a fresh engine would: replica
+// results are identical either way.
 func (e *Engine) Reset() {
 	e.queue.reset(e.recycle)
+	clear(e.shared)
 	clear(e.deferred)
 	e.deferred = e.deferred[:0]
 	e.now = 0

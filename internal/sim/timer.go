@@ -7,6 +7,7 @@ package sim
 // it runs on the single event-loop goroutine.
 type Timer struct {
 	engine  *Engine
+	lane    Lane
 	fn      Handler
 	fire    Handler // pre-bound expiry handler, allocated once in NewTimer
 	ref     EventRef
@@ -15,14 +16,19 @@ type Timer struct {
 }
 
 // NewTimer returns an unarmed timer that runs fn when it fires.
-func NewTimer(engine *Engine, fn Handler) *Timer {
+func NewTimer(engine *Engine, fn Handler) *Timer { return NewTimerIn(engine, Lane{}, fn) }
+
+// NewTimerIn returns an unarmed timer whose expiries are declared to lane:
+// the lane of the timer's class when the class re-arms with one fixed
+// delay (Engine.SharedLane).
+func NewTimerIn(engine *Engine, lane Lane, fn Handler) *Timer {
 	if engine == nil {
 		panic("sim: NewTimer with nil engine")
 	}
 	if fn == nil {
 		panic("sim: NewTimer with nil handler")
 	}
-	t := &Timer{engine: engine, fn: fn}
+	t := &Timer{engine: engine, lane: lane, fn: fn}
 	t.fire = func() {
 		t.armed = false
 		t.fn()
@@ -39,11 +45,15 @@ func (t *Timer) Expires() Time { return t.expires }
 
 // Reset (re)arms the timer to fire after delay, cancelling any pending
 // expiry.
-func (t *Timer) Reset(delay Time) {
+func (t *Timer) Reset(delay Time) { t.ResetIn(t.lane, delay) }
+
+// ResetIn is Reset with this expiry declared to lane l instead of the
+// timer's own: for a timer whose delay depends on how it is armed.
+func (t *Timer) ResetIn(l Lane, delay Time) {
 	t.Stop()
 	t.armed = true
 	t.expires = t.engine.Now() + delay
-	t.ref = t.engine.Schedule(delay, t.fire)
+	t.ref = t.engine.ScheduleIn(l, delay, t.fire)
 }
 
 // ResetAt (re)arms the timer to fire at an absolute instant.
@@ -64,7 +74,12 @@ func (t *Timer) Stop() {
 	t.armed = false
 }
 
-// Ticker invokes fn at a fixed period until stopped.
+// tickerPeriod keys the lane shared by every ticker of one period.
+type tickerPeriod Time
+
+// Ticker invokes fn at a fixed period until stopped. Every re-arm is one
+// period after a firing, so the tickers of one period share a lane; the
+// first tick, one phase out, is not declared.
 type Ticker struct {
 	timer  *Timer
 	period Time
@@ -76,10 +91,7 @@ func NewTicker(engine *Engine, period Time, fn Handler) *Ticker {
 	if period <= 0 {
 		panic("sim: NewTicker with non-positive period")
 	}
-	tk := &Ticker{period: period, fn: fn}
-	tk.timer = NewTimer(engine, tk.tick)
-	tk.timer.Reset(period)
-	return tk
+	return NewTickerAt(engine, period, period, fn)
 }
 
 // NewTickerAt starts a ticker whose first tick fires after the given phase
@@ -91,6 +103,7 @@ func NewTickerAt(engine *Engine, phase, period Time, fn Handler) *Ticker {
 	tk := &Ticker{period: period, fn: fn}
 	tk.timer = NewTimer(engine, tk.tick)
 	tk.timer.Reset(phase)
+	tk.timer.lane = engine.SharedLane(tickerPeriod(period))
 	return tk
 }
 

@@ -65,6 +65,10 @@ type AccessPoint struct {
 	clock    airClock
 	inflight fifo[*inet.Packet]
 	airFn    sim.Handler
+	// downLane holds the downlink's arrivals, which are scheduled in
+	// admission order; upLane the uplink arrivals of the stations
+	// associated with the AP.
+	downLane, upLane sim.Lane
 
 	airDrops uint64
 	// AirDropHook observes packets transmitted while the destination
@@ -82,7 +86,8 @@ func NewAccessPoint(name string, medium *Medium, cfg APConfig) *AccessPoint {
 		// Boxed once here: RSSI runs on every beacon a station hears.
 		cfg.Signal = DefaultSignal()
 	}
-	ap := &AccessPoint{name: name, cfg: cfg, engine: medium.engine, medium: medium}
+	ap := &AccessPoint{name: name, cfg: cfg, engine: medium.engine, medium: medium,
+		downLane: medium.engine.NewLane(), upLane: medium.engine.NewLane()}
 	ap.airFn = ap.airArrive
 	medium.addAP(ap)
 	return ap
@@ -188,7 +193,7 @@ func (ap *AccessPoint) transmitDown(pkt *inet.Packet) {
 	}
 	start, dep, idx := ap.clock.push(ap.engine, pkt.Size, ap.cfg.BandwidthBPS)
 	ap.inflight.Push(pkt)
-	ap.engine.AtPinned(dep+ap.cfg.AirDelay, dep, start, ap.clock.ring[idx].pseq, ap.airFn)
+	ap.engine.AtPinnedIn(ap.downLane, dep+ap.cfg.AirDelay, dep, start, ap.clock.ring[idx].pseq, ap.airFn)
 }
 
 // airArrive fires one air delay after the frame departs; the constant

@@ -14,9 +14,12 @@ import (
 // addr→station table for downlink delivery and a position-bucket index for
 // beacon coverage scans.
 type Medium struct {
-	engine   *sim.Engine
-	aps      []*AccessPoint
-	stations []*Station
+	engine *sim.Engine
+	// switchLane holds the stations' re-attachments, each one L2
+	// blackout after its detach.
+	switchLane sim.Lane
+	aps        []*AccessPoint
+	stations   []*Station
 
 	// addrIndex names the sole station accepting each address; it is the
 	// only record of which addresses a station accepts. Addresses are
@@ -32,7 +35,7 @@ func NewMedium(engine *sim.Engine) *Medium {
 	if engine == nil {
 		panic("wireless: NewMedium with nil engine")
 	}
-	return &Medium{engine: engine}
+	return &Medium{engine: engine, switchLane: engine.NewLane()}
 }
 
 // Engine returns the simulation engine.
@@ -237,7 +240,7 @@ func (s *Station) SwitchTo(target *AccessPoint) {
 	if s.OnLinkDown != nil {
 		s.OnLinkDown(old)
 	}
-	s.engine.Schedule(s.cfg.L2HandoffDelay, func() {
+	s.engine.ScheduleIn(s.medium.switchLane, s.cfg.L2HandoffDelay, func() {
 		s.switching = false
 		s.ap = target
 		if s.OnLinkUp != nil {
@@ -307,7 +310,7 @@ func (s *Station) admit(pkt *inet.Packet) {
 	start, dep, idx := s.clock.push(s.engine, pkt.Size, s.cfg.BandwidthBPS)
 	ent := &s.clock.ring[idx]
 	s.inflight.Push(airFrame{pkt: pkt, ap: s.ap})
-	ent.ref = s.engine.AtPinned(dep+s.cfg.AirDelay, dep, start, ent.pseq, s.airFn)
+	ent.ref = s.engine.AtPinnedIn(s.ap.upLane, dep+s.cfg.AirDelay, dep, start, ent.pseq, s.airFn)
 }
 
 // nicReset applies the NIC reset on link-down. The serializing frame and
